@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <thread>
 
 #include "sim/logging.hh"
@@ -120,6 +121,64 @@ formatDouble(double v)
     if (res.ec != std::errc())
         return "0";
     return std::string(buf, res.ptr);
+}
+
+namespace {
+
+/** @p s as a JSON string literal (quotes, backslashes, controls). */
+std::string
+jsonString(const std::string &s)
+{
+    std::string out = "\"";
+    for (const char c : s) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (static_cast<unsigned char>(c) >= 0x20) {
+            out += c;
+        }
+    }
+    return out + "\"";
+}
+
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        if (colon != std::string::npos)
+            return line.substr(line.find_first_not_of(' ', colon + 1));
+    }
+    return "unknown";
+}
+
+} // namespace
+
+std::string
+hostProvenanceJson()
+{
+#ifdef BCTRL_BUILD_TYPE
+    const std::string build_type = BCTRL_BUILD_TYPE;
+#else
+    const std::string build_type;
+#endif
+#if defined(__clang__)
+    const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+    const std::string compiler = "gcc " __VERSION__;
+#else
+    const std::string compiler = __VERSION__;
+#endif
+    return "{\"cores\": " +
+           std::to_string(std::thread::hardware_concurrency()) +
+           ", \"cpu\": " + jsonString(cpuModel()) +
+           ", \"compiler\": " + jsonString(compiler) +
+           ", \"build_type\": " +
+           jsonString(build_type.empty() ? "unknown" : build_type) + "}";
 }
 
 std::string

@@ -74,6 +74,13 @@ std::string formatFixed(double v, int decimals);
  */
 std::string formatDouble(double v);
 
+/**
+ * Where a measurement was taken, as a JSON object for BENCH_*.json
+ * files: hardware threads, CPU model (Linux /proc/cpuinfo), compiler,
+ * and CMake build type.
+ */
+std::string hostProvenanceJson();
+
 } // namespace bench
 } // namespace bctrl
 

@@ -4,10 +4,8 @@
  * the queue core can dispatch when events are nearly free, isolating
  * scheduler cost from component simulation cost.
  *
- * Two workloads, five modes:
- *
- * Solo workload (one queue, self-rescheduling chains whose deltas
- * follow the simulator's measured mix):
+ * One workload (self-rescheduling chains whose deltas follow the
+ * simulator's measured mix), three modes:
  *
  *   serial_heap    - the pre-ladder binary-heap EventQueue, replicated
  *                    in heap_reference.hh and driven through the same
@@ -18,42 +16,37 @@
  *   ladder_batched - EventQueue via run() unbounded, the production
  *                    System::run() path
  *
- * Cross-domain workload (three domain queues; chains live in one
- * domain and hop to the next every ~10-16 events through an owned
- * lambda carrying the cross-domain lookahead — the same traffic shape
- * the real system's border crossings produce):
+ * Every mode must visit exactly the same (tick, chain) trajectory; the
+ * harness cross-checks an order-sensitive checksum so a queue change
+ * that reorders events fails here before it fails a sweep.
  *
- *   sharded_serial - the three queues joined by formSerialGroup() and
- *                    run on the leader: the bit-identical oracle
- *   sharded        - the same queues under ParallelLoop's windowed
- *                    conservative grants, one worker per domain
- *
- * Every solo mode must visit exactly the same (tick, chain)
- * trajectory; the two cross modes must visit the same per-domain
- * trajectories. The harness cross-checks order-sensitive checksums so
- * a future queue change that reorders events fails here before it
- * fails a sweep. Results go to stdout and optionally a JSON file
- * (BENCH_eventloop.json in the repo root records the committed run);
- * --check compares against a committed JSON and fails on regression,
- * which is what the perf_regression ctest runs.
+ * Timing: --repeat N runs N rounds, each round running every mode once
+ * back to back, and reports per-mode median and spread. The regression
+ * gate (--check, the perf_regression ctest) is the in-process ratio
+ * ladder_batched / serial_heap, taken per round and medianed: a noisy
+ * shared host slows both modes of a round alike, so the ratio holds
+ * where absolute events/s swing by a third between runs. The gate
+ * fails when the median ratio falls more than --tolerance below the
+ * committed one (BENCH_eventloop.json in the repo root), i.e. when
+ * the ladder loses its lead over the heap reference.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <queue>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
 #include "heap_reference.hh"
 #include "sim/event_queue.hh"
-#include "sim/parallel_loop.hh"
 
 using namespace bctrl;
 using bench::formatDouble;
@@ -102,33 +95,6 @@ struct ChurnSpec {
     }
 };
 
-/**
- * The cross-domain workload: per-domain chains that mostly advance a
- * few GPU cycles at a time and hop to the next domain every 10-16
- * events. The lookahead is generous relative to the deltas (a window
- * admits ~17 hops per chain), mirroring the real system where the
- * cross-domain latency dwarfs the per-event step.
- */
-struct CrossSpec {
-    int chainsPerDomain = 256;
-    std::uint64_t hopsPerChain = 13'000;
-    Tick lookahead = 50'000;
-    int chains() const { return chainsPerDomain * numDomains; }
-    std::uint64_t totalEvents() const
-    {
-        return static_cast<std::uint64_t>(chains()) * hopsPerChain;
-    }
-};
-
-/** Cross-workload delta mix: mostly 1-3 GPU cycles, 10% mid hops. */
-Tick
-crossDelta(std::uint64_t r)
-{
-    if (r % 10 != 0)
-        return 1'429 + r % 2'858;
-    return 30'000 + r % 120'000;
-}
-
 /** Order-sensitive checksum over the (tick, chain) visit sequence. */
 struct Check {
     std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -144,13 +110,6 @@ struct Result {
     double seconds = 0;
     std::uint64_t events = 0;
     std::uint64_t checksum = 0;
-    /** Per-domain checksums (cross modes only; zero otherwise). */
-    std::uint64_t domainChecksum[numDomains] = {};
-    double
-    eventsPerSec() const
-    {
-        return seconds > 0 ? static_cast<double>(events) / seconds : 0;
-    }
 };
 
 // Host-side wall-clock measurement (never feeds simulated state).
@@ -158,7 +117,7 @@ struct Result {
 using BenchClock = std::chrono::steady_clock;
 
 /**
- * A self-rescheduling chain event for the solo workload. Templated
+ * A self-rescheduling chain event. Templated
  * over the queue/event types so the identical workload — rng advance,
  * checksum, virtual dispatch — runs through both the production
  * EventQueue and the benchref::HeapQueue oracle.
@@ -255,165 +214,39 @@ runLadder(const ChurnSpec &w, bool batched)
 }
 
 /**
- * A chain event for the cross-domain workload. Hops are domain-local
- * Event schedules except every 10-16th, which crosses to the next
- * domain as a queue-owned lambda at +lookahead (plain Events may not
- * cross shard borders — their owner could deschedule them while the
- * entry is in a mailbox). One object serves both cross modes: the
- * serial facade group and the shard group stamp identical keys.
- */
-class CrossChainEvent : public Event
-{
-  public:
-    CrossChainEvent(EventQueue *const *queues, Tick lookahead, Rng rng,
-                    std::uint64_t hops, int chain, Check *checks)
-        : queues_(queues), lookahead_(lookahead), rng_(rng),
-          hopsLeft_(hops), chain_(chain), checks_(checks),
-          slot_(chain % numDomains),
-          crossIn_(10 + static_cast<int>(rng_.next() % 7))
-    {}
-
-    std::size_t homeSlot() const { return slot_; }
-
-    void
-    process() override
-    {
-        EventQueue &cur = *queues_[slot_];
-        checks_[slot_].visit(cur.curTick(), chain_);
-        if (--hopsLeft_ == 0)
-            return;
-        const std::uint64_t r = rng_.next();
-        const Tick delta = crossDelta(r);
-        if (--crossIn_ > 0) {
-            cur.schedule(this, cur.curTick() + delta);
-            return;
-        }
-        crossIn_ = 10 + static_cast<int>(r % 7);
-        slot_ = (slot_ + 1) % numDomains;
-        CrossChainEvent *self = this;
-        // The lambda runs on the target queue's thread; by then the
-        // chain's state is safely published by the window barrier.
-        queues_[slot_]->scheduleLambda(
-            [self] { self->process(); },
-            cur.curTick() + lookahead_ + delta);
-    }
-
-    std::string name() const override { return "cross-chain-event"; }
-
-  private:
-    EventQueue *const *queues_;
-    const Tick lookahead_;
-    Rng rng_;
-    std::uint64_t hopsLeft_;
-    const int chain_;
-    Check *checks_;
-    std::size_t slot_;
-    int crossIn_;
-};
-
-/** Build and schedule the cross-domain chains (both cross modes). */
-std::vector<std::unique_ptr<CrossChainEvent>>
-makeCrossChains(const CrossSpec &w, EventQueue *const queues[],
-                Check checks[])
-{
-    std::vector<std::unique_ptr<CrossChainEvent>> chains;
-    for (int c = 0; c < w.chains(); ++c) {
-        Rng rng(0x2000 + c);
-        chains.push_back(std::make_unique<CrossChainEvent>(
-            queues, w.lookahead, rng, w.hopsPerChain, c, checks));
-        CrossChainEvent *ev = chains.back().get();
-        // First hop is domain-local: scheduled from outside any event,
-        // the home queue stamps itself as sender.
-        queues[ev->homeSlot()]->schedule(
-            ev, crossDelta(Rng(0x9000 + c).next()));
-    }
-    return chains;
-}
-
-void
-finishCross(Result &res, const Check checks[], std::uint64_t events)
-{
-    res.events = events;
-    // Fold the per-domain checksums into one order-sensitive word for
-    // the best-of comparison; the oracle check compares per domain.
-    std::uint64_t h = 0x100001b3ULL;
-    for (std::size_t d = 0; d < numDomains; ++d) {
-        res.domainChecksum[d] = checks[d].h;
-        h ^= checks[d].h + (h << 6) + (h >> 2);
-    }
-    res.checksum = h;
-}
-
-/**
- * Cross-domain oracle: the three domain queues joined as a serial
- * facade group and run single-threaded on the leader.
- */
-Result
-runShardedSerial(const CrossSpec &w)
-{
-    EventQueue border(Domain::border);
-    EventQueue gpu(Domain::gpuCluster);
-    EventQueue dram(Domain::dram);
-    border.formSerialGroup(gpu, dram, w.lookahead);
-    EventQueue *queues[numDomains] = {&border, &gpu, &dram};
-
-    Check checks[numDomains];
-    auto chains = makeCrossChains(w, queues, checks);
-
-    Result res;
-    const auto start = BenchClock::now();
-    border.run();
-    const std::chrono::duration<double> el = BenchClock::now() - start;
-    res.seconds = el.count();
-    finishCross(res, checks, border.eventsProcessed());
-    return res;
-}
-
-/**
- * Sharded mode: the same chains under ParallelLoop's windowed
- * conservative grants, one worker thread per domain.
- */
-Result
-runSharded(const CrossSpec &w)
-{
-    EventQueue border(Domain::border);
-    EventQueue gpu(Domain::gpuCluster);
-    EventQueue dram(Domain::dram);
-    ParallelLoop loop(border, gpu, dram, w.lookahead);
-    EventQueue *queues[numDomains] = {&border, &gpu, &dram};
-
-    Check checks[numDomains];
-    auto chains = makeCrossChains(w, queues, checks);
-
-    Result res;
-    const auto start = BenchClock::now();
-    loop.run();
-    const std::chrono::duration<double> el = BenchClock::now() - start;
-    res.seconds = el.count();
-    finishCross(res, checks, border.eventsProcessed());
-    return res;
-}
-
-/**
- * Extract modes.NAME.events_per_sec from a committed JSON file with a
- * string scan (the schema is flat and written by this harness; a full
- * parser would be overkill for a perf gate).
+ * Extract the committed gate ratio (gate.median) from a committed
+ * JSON file with a string scan (the schema is flat and written by this
+ * harness; a full parser would be overkill for a perf gate).
  */
 bool
-committedRate(const std::string &json, const char *mode, double *rate)
+committedRatio(const std::string &json, double *ratio)
 {
-    std::string key = "\"";
-    key += mode;
-    key += "\":";
-    const std::size_t at = json.find(key);
+    const std::size_t at = json.find("\"gate\":");
     if (at == std::string::npos)
         return false;
-    const std::string field = "\"events_per_sec\":";
+    const std::string field = "\"median\":";
     const std::size_t f = json.find(field, at);
     if (f == std::string::npos)
         return false;
-    *rate = std::strtod(json.c_str() + f + field.size(), nullptr);
-    return *rate > 0;
+    *ratio = std::strtod(json.c_str() + f + field.size(), nullptr);
+    return *ratio > 0;
+}
+
+/** Median, minimum, and maximum of a nonempty sample. */
+struct Spread {
+    double median = 0;
+    double min = 0;
+    double max = 0;
+};
+
+Spread
+spreadOf(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    const double median =
+        n % 2 != 0 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+    return Spread{median, v.front(), v.back()};
 }
 
 } // namespace
@@ -422,7 +255,6 @@ int
 main(int argc, char **argv)
 {
     ChurnSpec w;
-    CrossSpec x;
     std::string out_path;
     std::string check_path;
     double tolerance = 0.20;
@@ -439,17 +271,12 @@ main(int argc, char **argv)
             w.chains = std::atoi(argv[++i]);
         } else if (arg == "--hops" && i + 1 < argc) {
             w.hopsPerChain = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--cross-chains" && i + 1 < argc) {
-            x.chainsPerDomain = std::atoi(argv[++i]);
-        } else if (arg == "--cross-hops" && i + 1 < argc) {
-            x.hopsPerChain = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--best" && i + 1 < argc) {
+        } else if (arg == "--repeat" && i + 1 < argc) {
             repeat = std::atoi(argv[++i]);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--chains N] [--hops N] "
-                         "[--cross-chains N] [--cross-hops N] "
-                         "[--best N] [--out FILE] "
+                         "[--repeat N] [--out FILE] "
                          "[--check FILE [--tolerance F]]\n",
                          argv[0]);
             return 2;
@@ -458,89 +285,70 @@ main(int argc, char **argv)
     if (repeat < 1)
         repeat = 1;
 
-    // Best-of-N wall clock: the box may be shared, and the fastest
-    // repeat is the closest estimate of uncontended throughput. A
-    // repeat whose trajectory diverges is kept so the oracle check
-    // below reports it.
-    const auto bestOf = [repeat](auto fn) {
-        Result best = fn();
-        for (int i = 1; i < repeat; ++i) {
-            const Result r = fn();
-            if (r.checksum != best.checksum || r.events != best.events)
-                return r;
-            if (r.seconds < best.seconds)
-                best = r;
-        }
-        return best;
-    };
-
     struct Mode {
         const char *name;
-        Result r;
+        std::function<Result()> run;
+        std::vector<double> seconds;
     };
     Mode modes[] = {
-        {"serial_heap", bestOf([&] { return runHeapReference(w); })},
-        {"ladder", bestOf([&] { return runLadder(w, false); })},
-        {"ladder_batched", bestOf([&] { return runLadder(w, true); })},
-        {"sharded_serial", bestOf([&] { return runShardedSerial(x); })},
-        {"sharded", bestOf([&] { return runSharded(x); })},
+        {"serial_heap", [&] { return runHeapReference(w); }, {}},
+        {"ladder", [&] { return runLadder(w, false); }, {}},
+        {"ladder_batched", [&] { return runLadder(w, true); }, {}},
     };
     constexpr std::size_t numModes = sizeof(modes) / sizeof(modes[0]);
+    Mode &heap = modes[0];
+    Mode &batched = modes[2];
 
-    // The ladder modes must visit the identical trajectory the heap
-    // oracle does.
-    const std::uint64_t want = modes[0].r.checksum;
-    for (std::size_t i = 0; i < 3; ++i) {
-        const Mode &m = modes[i];
-        if (m.r.checksum != want || m.r.events != w.totalEvents()) {
-            std::fprintf(stderr,
-                         "FAIL: mode %s diverged from the heap oracle "
-                         "(events %llu/%llu, checksum %llx vs %llx)\n",
-                         m.name, (unsigned long long)m.r.events,
-                         (unsigned long long)w.totalEvents(),
-                         (unsigned long long)m.r.checksum,
-                         (unsigned long long)want);
-            return 1;
+    // Interleaved rounds: every mode once per round, the order flipped
+    // on alternate rounds so neither end of a round is favoured. Each
+    // round yields one batched/heap ratio from runs that saw the same
+    // stretch of host load.
+    std::uint64_t want = 0;
+    std::vector<double> ratios;
+    for (int round = 0; round < repeat; ++round) {
+        for (std::size_t k = 0; k < numModes; ++k) {
+            Mode &m = modes[round % 2 == 0 ? k : numModes - 1 - k];
+            const Result r = m.run();
+            // Every mode must visit the identical trajectory the heap
+            // oracle does (the first mode run fixes the reference).
+            if (want == 0)
+                want = r.checksum;
+            if (r.checksum != want || r.events != w.totalEvents()) {
+                std::fprintf(stderr,
+                             "FAIL: mode %s diverged from the heap "
+                             "oracle (events %llu/%llu, checksum %llx "
+                             "vs %llx)\n",
+                             m.name, (unsigned long long)r.events,
+                             (unsigned long long)w.totalEvents(),
+                             (unsigned long long)r.checksum,
+                             (unsigned long long)want);
+                return 1;
+            }
+            m.seconds.push_back(r.seconds);
         }
-    }
-    // The sharded run must visit the identical per-domain trajectories
-    // the serial facade group does: this is the same bit-identity the
-    // windowed grant protocol promises the full system.
-    const Result &xs = modes[3].r;
-    const Result &xp = modes[4].r;
-    if (xs.events != x.totalEvents() || xp.events != x.totalEvents()) {
-        std::fprintf(stderr,
-                     "FAIL: cross modes dropped events (%llu / %llu, "
-                     "expected %llu)\n",
-                     (unsigned long long)xs.events,
-                     (unsigned long long)xp.events,
-                     (unsigned long long)x.totalEvents());
-        return 1;
-    }
-    for (std::size_t d = 0; d < numDomains; ++d) {
-        if (xs.domainChecksum[d] != xp.domainChecksum[d]) {
-            std::fprintf(stderr,
-                         "FAIL: sharded domain %zu diverged from the "
-                         "serial group (checksum %llx vs %llx)\n",
-                         d, (unsigned long long)xp.domainChecksum[d],
-                         (unsigned long long)xs.domainChecksum[d]);
-            return 1;
-        }
+        ratios.push_back(heap.seconds.back() / batched.seconds.back());
     }
 
-    const double heap_rate = modes[0].r.eventsPerSec();
-    const double cross_rate = modes[3].r.eventsPerSec();
-    std::printf("%-15s %12s %12s %9s\n", "mode", "events", "events/s",
-                "vs base");
+    const auto evPerSec = [&w](double seconds) {
+        return seconds > 0 ? static_cast<double>(w.totalEvents()) / seconds
+                           : 0;
+    };
+    const Spread ratio = spreadOf(ratios);
+    std::printf("%-15s %12s %14s %9s\n", "mode", "events",
+                "events/s (p50)", "vs heap");
+    Spread spreads[numModes];
     for (std::size_t i = 0; i < numModes; ++i) {
-        const Mode &m = modes[i];
-        // Base = serial_heap for the solo workload, sharded_serial for
-        // the cross-domain workload (they are different workloads).
-        const double base = i < 3 ? heap_rate : cross_rate;
-        std::printf("%-15s %12llu %12.0f %8.2fx\n", m.name,
-                    (unsigned long long)m.r.events, m.r.eventsPerSec(),
-                    base > 0 ? m.r.eventsPerSec() / base : 0);
+        spreads[i] = spreadOf(modes[i].seconds);
+        std::printf("%-15s %12llu %14.0f %8.2fx\n", modes[i].name,
+                    (unsigned long long)w.totalEvents(),
+                    evPerSec(spreads[i].median),
+                    spreads[i].median > 0
+                        ? spreads[0].median / spreads[i].median
+                        : 0);
     }
+    std::printf("gate ladder_batched/serial_heap: median %.3f "
+                "(min %.3f, max %.3f) over %d round(s)\n",
+                ratio.median, ratio.min, ratio.max, repeat);
 
     if (!check_path.empty()) {
         std::ifstream in(check_path);
@@ -550,29 +358,23 @@ main(int argc, char **argv)
         }
         std::ostringstream buf;
         buf << in.rdbuf();
-        const std::string json = buf.str();
-        bool regressed = false;
-        for (const Mode &m : modes) {
-            double committed = 0;
-            if (!committedRate(json, m.name, &committed)) {
-                std::fprintf(stderr,
-                             "check: mode %s missing from %s, skipped\n",
-                             m.name, check_path.c_str());
-                continue;
-            }
-            const double floor = committed * (1.0 - tolerance);
-            const bool bad = m.r.eventsPerSec() < floor;
-            regressed = regressed || bad;
-            std::fprintf(stderr,
-                         "check: %-15s committed %12.0f ev/s, "
-                         "now %12.0f ev/s%s\n",
-                         m.name, committed, m.r.eventsPerSec(),
-                         bad ? "  REGRESSED" : "");
+        double committed = 0;
+        if (!committedRatio(buf.str(), &committed)) {
+            std::fprintf(stderr, "FAIL: no gate.median in %s\n",
+                         check_path.c_str());
+            return 1;
         }
+        const double floor = committed * (1.0 - tolerance);
+        const bool regressed = ratio.median < floor;
+        std::fprintf(stderr,
+                     "check: ladder_batched/serial_heap committed %.3f, "
+                     "floor %.3f, now %.3f%s\n",
+                     committed, floor, ratio.median,
+                     regressed ? "  REGRESSED" : "");
         if (regressed) {
             std::fprintf(stderr,
-                         "FAIL: throughput regressed more than %.0f%% "
-                         "vs %s\n",
+                         "FAIL: the ladder's lead over the heap "
+                         "reference fell more than %.0f%% below %s\n",
                          tolerance * 100, check_path.c_str());
             return 1;
         }
@@ -584,29 +386,35 @@ main(int argc, char **argv)
             std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
             return 1;
         }
-        std::fprintf(f, "{\n  \"schema\": \"bctrl-eventloop-v2\",\n");
-        std::fprintf(f, "  \"host_cores\": %u,\n",
-                     std::thread::hardware_concurrency());
+        std::fprintf(f, "{\n  \"schema\": \"bctrl-eventloop-v3\",\n");
+        std::fprintf(f, "  \"host\": %s,\n",
+                     bench::hostProvenanceJson().c_str());
         std::fprintf(f, "  \"chains\": %d,\n  \"hops\": %llu,\n",
                      w.chains, (unsigned long long)w.hopsPerChain);
-        std::fprintf(f,
-                     "  \"cross_chains\": %d,\n  \"cross_hops\": %llu,\n"
-                     "  \"lookahead\": %llu,\n",
-                     x.chains(), (unsigned long long)x.hopsPerChain,
-                     (unsigned long long)x.lookahead);
+        std::fprintf(f, "  \"rounds\": %d,\n", repeat);
         std::fprintf(f, "  \"modes\": {\n");
         for (std::size_t i = 0; i < numModes; ++i) {
-            const Mode &m = modes[i];
+            const Spread &sp = spreads[i];
             std::fprintf(
                 f,
-                "    \"%s\": {\"events\": %llu, \"seconds\": %s, "
+                "    \"%s\": {\"events\": %llu, \"seconds_p50\": %s, "
+                "\"seconds_min\": %s, \"seconds_max\": %s, "
                 "\"events_per_sec\": %s}%s\n",
-                m.name, (unsigned long long)m.r.events,
-                formatDouble(m.r.seconds).c_str(),
-                formatDouble(m.r.eventsPerSec()).c_str(),
+                modes[i].name, (unsigned long long)w.totalEvents(),
+                formatDouble(sp.median).c_str(),
+                formatDouble(sp.min).c_str(),
+                formatDouble(sp.max).c_str(),
+                formatDouble(evPerSec(sp.median)).c_str(),
                 i + 1 < numModes ? "," : "");
         }
-        std::fprintf(f, "  }\n}\n");
+        std::fprintf(f, "  },\n");
+        std::fprintf(f,
+                     "  \"gate\": {\"ratio\": "
+                     "\"ladder_batched/serial_heap\", \"median\": %s, "
+                     "\"min\": %s, \"max\": %s}\n}\n",
+                     formatDouble(ratio.median).c_str(),
+                     formatDouble(ratio.min).c_str(),
+                     formatDouble(ratio.max).c_str());
         std::fclose(f);
         std::fprintf(stderr, "wrote %s\n", out_path.c_str());
     }

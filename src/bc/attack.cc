@@ -201,9 +201,6 @@ void
 AttackInjector::scheduleAttackAt(Tick when, AttackKind kind, Addr addr,
                                  Asid asid)
 {
-    // The injector runs on the primary (border) queue, the same
-    // queue system_ hands out: a same-domain reach.
-    // bclint:allow(cross-domain-direct-call)
     system_.eventQueue().scheduleLambda(
         [this, kind, addr, asid]() {
             const Tick start = system_.eventQueue().curTick();

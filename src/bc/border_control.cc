@@ -289,8 +289,7 @@ BorderControl::access(const PacketPtr &pkt)
           case fault::Kind::drop: {
             PacketPtr held = pkt;
             fe->holdDropped("borderControl.gpuRequest", curTick(),
-                            [this, held]() { access(held); },
-                            &eventQueue());
+                            [this, held]() { access(held); });
             return;
           }
           case fault::Kind::delay: {

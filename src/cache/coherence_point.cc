@@ -29,13 +29,13 @@ CoherencePoint::recallFrom(bool accel_side, Addr addr)
     if (accel_side) {
         if (accelCache_ == nullptr)
             return;
-        if (accelHopQueue_ != nullptr) {
-            // The recall crosses the border: fire-and-forget message
-            // on the accelerator's queue. Any writeback it provokes
-            // returns through the accelerator's own downstream path
-            // with its own border crossing.
+        if (accelHopLatency_ != 0) {
+            // The recall crosses the border: a fire-and-forget
+            // message. Any writeback it provokes returns through the
+            // accelerator's own downstream path with its own border
+            // crossing.
             Cache *cache = accelCache_;
-            accelHopQueue_->scheduleLambda(
+            eventQueue().scheduleLambda(
                 [cache, addr]() { cache->recallBlock(addr); },
                 curTick() + accelHopLatency_);
         } else {
@@ -106,8 +106,7 @@ CoherencePoint::access(const PacketPtr &pkt)
           case fault::Kind::drop: {
             PacketPtr held = pkt;
             fe->holdDropped("coherence.msg", curTick(),
-                            [this, held]() { access(held); },
-                            &eventQueue());
+                            [this, held]() { access(held); });
             return;
           }
           case fault::Kind::delay: {

@@ -58,20 +58,12 @@ class CoherencePoint : public SimObject, public MemDevice
     void setAccelCache(Cache *cache) { accelCache_ = cache; }
 
     /**
-     * Deliver accelerator-side recalls as messages on the accelerator
-     * domain's queue with @p latency, instead of calling into the
-     * accelerator L2 synchronously. The coherence point lives on the
-     * host side of the border, so in the sharded build a recall must
-     * cross like any other traffic; the builder wires this in both
-     * serial and parallel modes so results stay bit-identical. Unset
-     * (unit tests), recalls stay synchronous.
+     * Deliver accelerator-side recalls as messages @p latency later
+     * (one interconnect hop), instead of calling into the accelerator
+     * L2 synchronously: the coherence point lives on the host side of
+     * the border. Unset (unit tests), recalls stay synchronous.
      */
-    void
-    setAccelRecallHop(EventQueue *accel_queue, Tick latency)
-    {
-        accelHopQueue_ = accel_queue;
-        accelHopLatency_ = latency;
-    }
+    void setAccelRecallHop(Tick latency) { accelHopLatency_ = latency; }
 
     void access(const PacketPtr &pkt) override;
 
@@ -101,7 +93,6 @@ class CoherencePoint : public SimObject, public MemDevice
     Params params_;
     std::vector<Cache *> cpuCaches_;
     Cache *accelCache_ = nullptr;
-    EventQueue *accelHopQueue_ = nullptr;
     Tick accelHopLatency_ = 0;
     std::unordered_map<Addr, BlockState> blocks_;
 

@@ -1,29 +1,22 @@
 /**
  * @file
- * Domain border ports: the only sanctioned crossings between the GPU
- * cluster, border host, and DRAM shards.
+ * Border ports: the modelled interconnect hops between the GPU
+ * cluster, the border host, and DRAM.
  *
- * Every interaction that crosses a domain boundary must carry at
- * least the configured cross-domain latency L and must execute on the
- * target domain's queue — that is what lets the parallel loop grant
- * each shard a whole window of events between barriers (the latency
- * *is* the PDES lookahead; see sim/parallel_loop.hh). These wrappers
+ * Every interaction that crosses the accelerator <-> host interconnect
+ * carries the configured cross-domain latency L. These wrappers
  * package that rule behind the two interfaces traffic actually
- * crosses on:
+ * crosses on; both deliver on the System's one event queue:
  *
- *  - CrossDomainPort: a MemDevice facade in front of a device in
- *    another domain. Requests hop to the target's queue at +L; the
- *    port also stamps the packet's homeQueue so respondAt() can hop
- *    the response back (also at +L) onto the requester's shard.
+ *  - CrossDomainPort: a MemDevice facade in front of a device on the
+ *    other side. Requests reach the target at +L; the first port on a
+ *    request path also marks the packet (Packet::returnHop) so
+ *    respondAt() charges the return trip, also +L, exactly once.
  *
  *  - AcceleratorPort: an AcceleratorControl facade in front of the
- *    GPU for the OS kernel (border domain). Commands hop to the GPU
- *    queue at +L; completion callbacks (quiesced/flushed) hop back to
- *    the border queue at +L, each side always reading its *own* clock.
- *
- * Both ports are used identically by the serial and sharded builds —
- * in serial runs the hops land in the shared ladder through the
- * domain facades — which is what keeps the two modes bit-identical.
+ *    GPU for the OS kernel. Commands reach the GPU at +L; completion
+ *    callbacks (quiesced/flushed) come back at +L from the tick the
+ *    GPU side finishes.
  */
 
 #ifndef BCTRL_CONFIG_DOMAIN_BRIDGES_HH
@@ -39,62 +32,55 @@
 namespace bctrl {
 
 /**
- * MemDevice facade that forwards access() across a domain border:
- * the request is delivered to @p target on @p targetQueue one
- * cross-domain latency after the source domain's current tick.
+ * MemDevice facade that forwards access() across the interconnect:
+ * the request is delivered to @p target one cross-domain latency
+ * after the current tick.
  */
 class CrossDomainPort : public MemDevice
 {
   public:
     /**
-     * @param source  the requester-side queue (clock read at access).
-     * @param targetQueue the responder-side queue (delivery).
+     * @param eq      the System's event queue.
      * @param target  the device behind the border.
-     * @param latency the border-crossing latency L (>= lookahead).
+     * @param latency the border-crossing latency L.
      */
-    CrossDomainPort(EventQueue &source, EventQueue &targetQueue,
-                    MemDevice &target, Tick latency)
-        : source_(&source), targetQueue_(&targetQueue), target_(&target),
-          latency_(latency)
+    CrossDomainPort(EventQueue &eq, MemDevice &target, Tick latency)
+        : eq_(&eq), target_(&target), latency_(latency)
     {
     }
 
     void
     access(const PacketPtr &pkt) override
     {
-        // First border on the request path stamps the home queue;
-        // respondAt() uses it to hop the response back. Later borders
-        // (border -> DRAM on a GPU-born packet) leave it alone so the
-        // response returns in one hop to the original requester.
-        if (pkt->homeQueue == nullptr)
-            pkt->homeQueue = source_;
+        // The first border on the request path marks the packet;
+        // respondAt() charges the return hop. Later borders (border ->
+        // DRAM on a GPU-born packet) leave it alone so the response
+        // returns in one hop to the original requester.
+        if (pkt->returnHop == 0)
+            pkt->returnHop = latency_;
         MemDevice *target = target_;
-        targetQueue_->scheduleLambda(
-            [target, pkt]() { target->access(pkt); },
-            source_->curTick() + latency_);
+        eq_->scheduleLambda([target, pkt]() { target->access(pkt); },
+                            eq_->curTick() + latency_);
     }
 
   private:
-    EventQueue *source_;
-    EventQueue *targetQueue_;
+    EventQueue *eq_;
     MemDevice *target_;
     Tick latency_;
 };
 
 /**
- * AcceleratorControl facade between the OS kernel (border domain) and
- * the GPU (accelerator domain). Every command is delivered on the GPU
- * queue at border-tick + L; every completion callback is delivered
- * back on the border queue at GPU-tick + L (read when the GPU side
- * finishes, which may be long after the command arrived).
+ * AcceleratorControl facade between the OS kernel and the GPU. Every
+ * command is delivered at now + L; every completion callback is
+ * delivered back at (GPU-side completion tick) + L, which may be long
+ * after the command arrived.
  */
 class AcceleratorPort : public AcceleratorControl
 {
   public:
-    AcceleratorPort(EventQueue &borderQueue, EventQueue &gpuQueue,
-                    AcceleratorControl &target, Tick latency)
-        : borderQueue_(&borderQueue), gpuQueue_(&gpuQueue),
-          target_(&target), latency_(latency)
+    AcceleratorPort(EventQueue &eq, AcceleratorControl &target,
+                    Tick latency)
+        : eq_(&eq), target_(&target), latency_(latency)
     {
     }
 
@@ -102,83 +88,78 @@ class AcceleratorPort : public AcceleratorControl
     pause(std::function<void()> quiesced) override
     {
         AcceleratorControl *t = target_;
-        gpuQueue_->scheduleLambda(
+        eq_->scheduleLambda(
             [t, cb = hopBack(std::move(quiesced))]() mutable {
                 t->pause(std::move(cb));
             },
-            commandTick());
+            hopTick());
     }
 
     void
     resume() override
     {
         AcceleratorControl *t = target_;
-        gpuQueue_->scheduleLambda([t]() { t->resume(); }, commandTick());
+        eq_->scheduleLambda([t]() { t->resume(); }, hopTick());
     }
 
     void
     flushCaches(std::function<void()> done) override
     {
         AcceleratorControl *t = target_;
-        gpuQueue_->scheduleLambda(
+        eq_->scheduleLambda(
             [t, cb = hopBack(std::move(done))]() mutable {
                 t->flushCaches(std::move(cb));
             },
-            commandTick());
+            hopTick());
     }
 
     void
     flushCachePage(Addr ppn, std::function<void()> done) override
     {
         AcceleratorControl *t = target_;
-        gpuQueue_->scheduleLambda(
+        eq_->scheduleLambda(
             [t, ppn, cb = hopBack(std::move(done))]() mutable {
                 t->flushCachePage(ppn, std::move(cb));
             },
-            commandTick());
+            hopTick());
     }
 
     void
     invalidateTlbs() override
     {
         AcceleratorControl *t = target_;
-        gpuQueue_->scheduleLambda([t]() { t->invalidateTlbs(); },
-                                  commandTick());
+        eq_->scheduleLambda([t]() { t->invalidateTlbs(); }, hopTick());
     }
 
     void
     invalidateTlbPage(Asid asid, Addr vpn) override
     {
         AcceleratorControl *t = target_;
-        gpuQueue_->scheduleLambda(
+        eq_->scheduleLambda(
             [t, asid, vpn]() { t->invalidateTlbPage(asid, vpn); },
-            commandTick());
+            hopTick());
     }
 
   private:
-    Tick commandTick() const { return borderQueue_->curTick() + latency_; }
+    Tick hopTick() const { return eq_->curTick() + latency_; }
 
     /**
      * Wrap a kernel-side completion callback so that, when the GPU
-     * side eventually invokes it, it reschedules onto the border
-     * queue one latency past the GPU side's *current* tick — the
-     * quiesce/flush may complete long after the command landed.
+     * side eventually invokes it, it is delivered one latency past
+     * that *current* tick — the quiesce/flush may complete long after
+     * the command landed.
      */
     std::function<void()>
     hopBack(std::function<void()> cb)
     {
-        EventQueue *borderQueue = borderQueue_;
-        EventQueue *gpuQueue = gpuQueue_;
+        EventQueue *eq = eq_;
         Tick latency = latency_;
-        return [borderQueue, gpuQueue, latency,
-                cb = std::move(cb)]() mutable {
-            borderQueue->scheduleLambda(std::move(cb),
-                                        gpuQueue->curTick() + latency);
+        return [eq, latency, cb = std::move(cb)]() mutable {
+            eq->scheduleLambda(std::move(cb), eq->curTick() + latency);
         };
     }
 
-    EventQueue *borderQueue_;
-    EventQueue *gpuQueue_;
+    EventQueue *eq_;
     AcceleratorControl *target_;
     Tick latency_;
 };

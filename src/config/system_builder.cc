@@ -6,17 +6,14 @@ namespace bctrl {
 
 System::System(const SystemConfig &config)
     : config_(config), allocProf_("system.allocprof"),
-      eventqStats_("system.eventq"), parallelStats_("system.parallel")
+      eventqStats_("system.eventq")
 {
     const Tick gpu_period = config_.gpuPeriod();
     const Tick cross_latency = config_.crossDomainLatency;
 
-    fatal_if(config_.parallelLoop && config_.traceMask != 0,
-             "parallelLoop is incompatible with tracing "
-             "(the trace sink assumes a single host thread)");
     fatal_if(cross_latency == 0,
-             "crossDomainLatency must be nonzero: it is the border "
-             "interconnect hop and the parallel loop's lookahead");
+             "crossDomainLatency must be nonzero: it is the modelled "
+             "accelerator <-> host interconnect hop");
 
     // Observability first, so every component constructed below can
     // already see the hooks through the event queue.
@@ -26,12 +23,7 @@ System::System(const SystemConfig &config)
     }
     if (config_.hostProfile) {
         profiler_ = std::make_unique<HostProfiler>();
-        // Parallel runs attribute on the coordinator thread only (the
-        // shard queues never see the profiler — worker threads would
-        // race on its counters); the loop itself charges the eventLoop
-        // and coordinator slots.
-        if (!config_.parallelLoop)
-            eventQueue_.setProfiler(profiler_.get());
+        eventQueue_.setProfiler(profiler_.get());
     }
     if (config_.faultPlan.active()) {
         faultEngine_ =
@@ -45,48 +37,7 @@ System::System(const SystemConfig &config)
         }
     }
 
-    // The domain queues must form their group while everything is
-    // empty, before any component can schedule. Components then bind
-    // to their domain's queue via queueFor(); the serial build gets
-    // facades over one ladder, the parallel build gets real shards.
-    gpuQueue_ = std::make_unique<EventQueue>(Domain::gpuCluster);
-    dramQueue_ = std::make_unique<EventQueue>(Domain::dram);
-    if (config_.parallelLoop) {
-        loop_ = std::make_unique<ParallelLoop>(
-            eventQueue_, *gpuQueue_, *dramQueue_, cross_latency);
-        loop_->setProfiler(profiler_.get());
-        packetPool_.setThreadSafe(true);
-    } else {
-        eventQueue_.formSerialGroup(*gpuQueue_, *dramQueue_,
-                                    cross_latency);
-    }
-
-    // Chaos under both loops: the serial facades read the engine and
-    // watchdog through the group primary, but parallel shards are
-    // their own primary, so each needs the hooks installed explicitly.
-    if (faultEngine_) {
-        gpuQueue_->setFaultEngine(faultEngine_.get());
-        dramQueue_->setFaultEngine(faultEngine_.get());
-        // One crossing of visibility lag makes the poisoned-frame
-        // probe independent of thread interleaving; applied in serial
-        // mode too so the two loops stay stat-identical.
-        faultEngine_->setPoisonVisibilityLag(cross_latency);
-        if (watchdog_) {
-            gpuQueue_->setWatchdog(watchdog_.get());
-            dramQueue_->setWatchdog(watchdog_.get());
-            if (config_.parallelLoop) {
-                // Switch the hang report to the sharded format: the
-                // per-domain picture comes from the coordinator's
-                // barrier snapshot (reporter below), never from raw
-                // cross-thread queue reads.
-                watchdog_->addProgressSource(gpuQueue_.get());
-                watchdog_->addProgressSource(dramQueue_.get());
-            }
-        }
-    }
-
     store_ = std::make_unique<BackingStore>(config_.physMemBytes);
-    store_->setThreadSafe(config_.parallelLoop);
 
     // Host-side allocation profile: how allocation-free the hot request
     // path actually is. All formulas so they read live counters at
@@ -131,19 +82,20 @@ System::System(const SystemConfig &config)
     Dram::Params dram_params;
     dram_params.accessLatency = config_.dramAccessLatency;
     dram_params.bytesPerSecond = config_.memBandwidthBytesPerSec;
-    dram_ = std::make_unique<Dram>(queueFor(Domain::dram), "system.mem",
+    dram_ = std::make_unique<Dram>(eventQueue_, "system.mem",
                                    *store_, dram_params);
 
-    // Everything below the coherence point crosses into the DRAM
-    // domain: requests hop through this port at +crossDomainLatency
-    // and responses hop back the same way (via Packet::homeQueue).
+    // Everything below the coherence point is across the memory
+    // interconnect: requests hop through this port at
+    // +crossDomainLatency and responses hop back the same way (via
+    // Packet::returnHop).
     borderToDram_ = std::make_unique<CrossDomainPort>(
-        eventQueue_, *dramQueue_, *dram_, cross_latency);
+        eventQueue_, *dram_, cross_latency);
 
     coherence_ = std::make_unique<CoherencePoint>(
         eventQueue_, "system.coherence", *borderToDram_,
         CoherencePoint::Params{});
-    coherence_->setAccelRecallHop(gpuQueue_.get(), cross_latency);
+    coherence_->setAccelRecallHop(cross_latency);
 
     bus_ = std::make_unique<MemBus>(eventQueue_, "system.bus",
                                     *coherence_, MemBus::Params{});
@@ -301,16 +253,15 @@ System::System(const SystemConfig &config)
 
     // The accelerator's traffic leaves its cluster through this port:
     // whatever device guards the border (Border Control, the IOMMU
-    // front end, or the bare bus) is reached at +crossDomainLatency on
-    // the border queue, and the port stamps each packet's home queue
-    // so the response crosses back the same way.
+    // front end, or the bare bus) is reached at +crossDomainLatency,
+    // and the port marks each packet so the response crosses back the
+    // same way.
     gpuToBorder_ = std::make_unique<CrossDomainPort>(
-        *gpuQueue_, eventQueue_, *gpu_mem_path, cross_latency);
+        eventQueue_, *gpu_mem_path, cross_latency);
 
-    gpu_ = std::make_unique<Gpu>(queueFor(Domain::gpuCluster),
-                                 "system.gpu", gpu_params, *ats_,
-                                 *gpuToBorder_, &packetPool_);
-    gpu_->setCrossDomainHop(&eventQueue_, cross_latency);
+    gpu_ = std::make_unique<Gpu>(eventQueue_, "system.gpu", gpu_params,
+                                 *ats_, *gpuToBorder_, &packetPool_);
+    gpu_->setCrossDomainHop(cross_latency);
 
     if (gpu_->l2Cache() != nullptr)
         coherence_->setAccelCache(gpu_->l2Cache());
@@ -318,10 +269,10 @@ System::System(const SystemConfig &config)
         coherence_->addCpuCache(capiL2_.get());
 
     // The kernel commands the accelerator through the border port:
-    // pause/flush/invalidate hop to the GPU queue, completions hop
-    // back, each leg carrying the crossing latency.
-    accelPort_ = std::make_unique<AcceleratorPort>(
-        eventQueue_, *gpuQueue_, *gpu_, cross_latency);
+    // pause/flush/invalidate hop to the GPU, completions hop back,
+    // each leg carrying the crossing latency.
+    accelPort_ = std::make_unique<AcceleratorPort>(eventQueue_, *gpu_,
+                                                   cross_latency);
     kernel_->attachAccelerator(accelPort_.get(), borderControl_.get(),
                                ats_.get());
     if (iommuFrontend_)
@@ -346,136 +297,33 @@ System::System(const SystemConfig &config)
             return "gpu mem ops outstanding: " +
                    std::to_string(gpu_->outstandingMemOps());
         });
-        if (loop_) {
-            ParallelLoop *loop = loop_.get();
-            watchdog_->addReporter(
-                [loop]() { return loop->describeHangState(); });
-        }
     }
 
-    // Event-queue internals, one block per domain queue. All formulas
-    // read the live queue at dump time (quiescent: after runLoop).
-    // These are host-side diagnostics — scheduling pressure, stale
-    // purges, ladder overflow spills, mailbox overflow falls — and are
-    // excluded from the sim-only dump: where events are *stored*
-    // legitimately differs between the serial and sharded builds.
-    {
-        struct QueueRef { const char *name; const EventQueue *q; };
-        const QueueRef refs[] = {
-            {"border", &eventQueue_},
-            {"gpu", gpuQueue_.get()},
-            {"dram", dramQueue_.get()},
-        };
-        for (const QueueRef &ref : refs) {
-            const EventQueue *q = ref.q;
-            const std::string prefix = ref.name;
-            eventqStats_.formula(
-                prefix + ".stalePurged",
-                "canceled entries discarded by the ladder sweep",
-                [q]() { return static_cast<double>(q->stalePurged()); });
-            eventqStats_.formula(
-                prefix + ".pendingEntries",
-                "entries resident in this queue's ladder storage",
-                [q]() {
-                    return static_cast<double>(q->pendingEntries());
-                });
-            eventqStats_.formula(
-                prefix + ".overflowSpills",
-                "insertions beyond the ladder horizon (overflow heap)",
-                [q]() {
-                    return static_cast<double>(q->overflowSpills());
-                });
-            eventqStats_.formula(
-                prefix + ".mailboxOverflows",
-                "cross-domain posts that missed the ring and took the "
-                "locked fallback",
-                [q]() {
-                    return static_cast<double>(q->mailboxOverflows());
-                });
-        }
-    }
-
-    // Coordinator observability (parallel runs only): how wide the
-    // windows are, how much work each grant covers, and how much wall
-    // time the barriers cost.
-    if (loop_) {
-        ParallelLoop *loop = loop_.get();
-        parallelStats_.formula(
-            "lookaheadTicks", "conservative window width L",
-            [loop]() { return static_cast<double>(loop->lookahead()); });
-        parallelStats_.formula(
-            "windows", "synchronization rounds run",
-            [loop]() { return static_cast<double>(loop->windows()); });
-        parallelStats_.formula(
-            "grants", "shard releases issued across all windows",
-            [loop]() { return static_cast<double>(loop->grants()); });
-        const struct { const char *name; Domain d; } domains[] = {
-            {"eventsBorder", Domain::border},
-            {"eventsGpu", Domain::gpuCluster},
-            {"eventsDram", Domain::dram},
-        };
-        for (const auto &dom : domains) {
-            const Domain d = dom.d;
-            parallelStats_.formula(
-                dom.name, "events executed inside grants on this shard",
-                [loop, d]() {
-                    return static_cast<double>(loop->executedIn(d));
-                });
-        }
-        parallelStats_.formula(
-            "eventsPerGrant",
-            "events a released shard averages per window",
-            [loop]() {
-                std::uint64_t total = 0;
-                for (std::size_t i = 0; i < numDomains; ++i)
-                    total += loop->executedIn(static_cast<Domain>(i));
-                return loop->grants() != 0
-                           ? static_cast<double>(total) /
-                                 static_cast<double>(loop->grants())
-                           : 0.0;
-            });
-        parallelStats_.formula(
-            "coordinatorSyncSeconds",
-            "wall time in serialized barrier work (drains + head scan)",
-            [loop]() {
-                return static_cast<double>(loop->coordinatorSyncNanos()) *
-                       1e-9;
-            });
-        parallelStats_.formula(
-            "coordinatorStallSeconds",
-            "wall time waiting for released shards at the barrier",
-            [loop]() {
-                return static_cast<double>(
-                           loop->coordinatorStallNanos()) *
-                       1e-9;
-            });
-    }
+    // Event-queue internals. All formulas read the live queue at dump
+    // time. These are host-side diagnostics — stale purges, pending
+    // storage, ladder overflow spills — and are excluded from the
+    // sim-only dump.
+    eventqStats_.formula("stalePurged",
+                         "canceled entries discarded by the ladder sweep",
+                         [this]() {
+                             return static_cast<double>(
+                                 eventQueue_.stalePurged());
+                         });
+    eventqStats_.formula("pendingEntries",
+                         "entries resident in the ladder storage",
+                         [this]() {
+                             return static_cast<double>(
+                                 eventQueue_.pendingEntries());
+                         });
+    eventqStats_.formula(
+        "overflowSpills",
+        "insertions beyond the ladder horizon (overflow heap)",
+        [this]() {
+            return static_cast<double>(eventQueue_.overflowSpills());
+        });
 }
 
 System::~System() = default;
-
-EventQueue &
-System::queueFor(Domain d)
-{
-    switch (d) {
-      case Domain::gpuCluster:
-        return *gpuQueue_;
-      case Domain::dram:
-        return *dramQueue_;
-      case Domain::border:
-        break;
-    }
-    return eventQueue_;
-}
-
-void
-System::runLoop()
-{
-    if (loop_)
-        loop_->run();
-    else
-        eventQueue_.run();
-}
 
 MemDevice &
 System::borderDevice()
@@ -544,14 +392,12 @@ System::run(Workload &workload, Process &proc)
 
     bool finished = false;
     gpu_->launch(workload, proc, [this, &finished]() {
-        // Runs on the GPU queue when the last wavefront retires. The
-        // completion notice crosses back into the border domain like
-        // any other signal, so host-side readers (the downgrade
-        // injector, the watchdog done-probe) never race with the GPU
-        // shard — and serial runs see the identical +L hop.
+        // Runs when the last wavefront retires. The completion notice
+        // reaches the host one interconnect hop later, like any other
+        // accelerator signal.
         eventQueue_.scheduleLambda(
             [&finished]() { finished = true; },
-            gpuQueue_->curTick() + config_.crossDomainLatency);
+            eventQueue_.curTick() + config_.crossDomainLatency);
     });
     startDowngradeInjector(proc, &finished);
 
@@ -559,7 +405,7 @@ System::run(Workload &workload, Process &proc)
         watchdog_->setDoneProbe([&finished]() { return finished; });
         watchdog_->arm();
     }
-    runLoop();
+    eventQueue_.run();
     if (watchdog_)
         watchdog_->setDoneProbe(nullptr);
 
@@ -575,7 +421,7 @@ System::run(Workload &workload, Process &proc)
         if (watchdog_)
             watchdog_->disarm();
         faultEngine_->releaseDropped(eventQueue_);
-        runLoop();
+        eventQueue_.run();
     }
     panic_if(!finished && !hung,
              "event queue drained before kernel completion");
@@ -587,7 +433,7 @@ System::run(Workload &workload, Process &proc)
 
     bool released = false;
     kernel_->releaseAccelerator(proc, [&released]() { released = true; });
-    runLoop();
+    eventQueue_.run();
     panic_if(!released, "accelerator release did not complete");
 
     return collect(workload.name(), runtime, mem_ops, hung);
@@ -621,6 +467,7 @@ System::collect(const std::string &workload_name, Tick runtime,
         r.violations += iommuFrontend_->denials();
 
     r.downgrades = kernel_->downgradesPerformed();
+    r.pageFaults = kernel_->pageFaults();
     r.translations = ats_->translations();
     r.pageWalks = ats_->walks();
     r.dramBytes = dram_->bytesTransferred();
@@ -652,6 +499,12 @@ System::collect(const std::string &workload_name, Tick runtime,
         r.kills = kernel_->kills();
     }
 
+    for (unsigned cu = 0; cu < config_.numCus(); ++cu) {
+        if (const Cache *l1 = gpu_->l1Cache(cu)) {
+            r.l1Hits += l1->demandHits();
+            r.l1Misses += l1->demandMisses();
+        }
+    }
     if (gpu_->l2Cache() != nullptr) {
         r.l2Hits = gpu_->l2Cache()->demandHits();
         r.l2Misses = gpu_->l2Cache()->demandMisses();
@@ -744,8 +597,6 @@ System::dumpStats(std::ostream &os) const
 {
     dumpSimStats(os);
     eventqStats_.print(os);
-    if (loop_)
-        parallelStats_.print(os);
     allocProf_.print(os);
 }
 
@@ -774,8 +625,6 @@ System::dumpStatsJson(std::ostream &os) const
     for (const stats::StatGroup *group : extraStats_)
         group->printJsonInto(os, first);
     eventqStats_.printJsonInto(os, first);
-    if (loop_)
-        parallelStats_.printJsonInto(os, first);
     allocProf_.printJsonInto(os, first);
     os << "}";
 }

@@ -26,7 +26,6 @@
 #include "mem/packet_pool.hh"
 #include "os/kernel.hh"
 #include "sim/fault.hh"
-#include "sim/parallel_loop.hh"
 #include "sim/host_profiler.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
@@ -60,17 +59,6 @@ class System
     /// @{
     const SystemConfig &config() const { return config_; }
     EventQueue &eventQueue() { return eventQueue_; }
-    /**
-     * The queue components of @p d schedule into. The three domain
-     * queues always exist: in serial mode the GPU and DRAM queues are
-     * facades over the border queue's single ladder (one clock, one
-     * execution order), in parallel mode they are real shards with
-     * their own threads. Components bind to their domain's queue
-     * either way, which is what keeps the two modes bit-identical.
-     */
-    EventQueue &queueFor(Domain d);
-    /** Null unless config.parallelLoop. */
-    ParallelLoop *parallelLoop() { return loop_.get(); }
     PacketPool &packetPool() { return packetPool_; }
     BackingStore &memory() { return *store_; }
     Dram &dram() { return *dram_; }
@@ -122,10 +110,9 @@ class System
     /**
      * Simulated-state statistics only: the component groups (plus any
      * registered extra groups), without the host-side blocks
-     * (system.allocprof, system.eventq, system.parallel). This is the
-     * dump serial-vs-parallel bit-identity comparisons use — host
-     * counters legitimately depend on the thread interleaving, the
-     * simulation itself must not.
+     * (system.allocprof, system.eventq). This is the dump bit-identity
+     * comparisons use (reruns, sweeps, tracing or profiling on/off):
+     * host counters may legitimately differ, the simulation must not.
      */
     void dumpSimStats(std::ostream &os) const;
     /** JSON flavor of dumpSimStats (flat object, same key scheme). */
@@ -135,7 +122,7 @@ class System
      * The kernel's quarantine-and-recovery episodes as a JSON array
      * (schema: [{"begin","end","paddr","wasWrite","traceId","kind"}]),
      * for the tools' --stats-json payloads. Deterministic simulated
-     * state: identical between the serial and sharded loops.
+     * state.
      */
     void dumpRecoveriesJson(std::ostream &os) const;
 
@@ -144,19 +131,8 @@ class System
                       std::uint64_t mem_ops, bool hung) const;
     void startDowngradeInjector(Process &proc, const bool *finished);
 
-    /** Drain the event loop: serial run() or the sharded loop. */
-    void runLoop();
-
     SystemConfig config_;
     EventQueue eventQueue_;
-    /**
-     * The GPU-cluster and DRAM domain queues: serial facades or
-     * parallel shards of the border queue depending on the config.
-     * Declared right after the primary so they outlive every
-     * component but are destroyed before the primary they group with.
-     */
-    std::unique_ptr<EventQueue> gpuQueue_;
-    std::unique_ptr<EventQueue> dramQueue_;
     /**
      * Declared before every component so it outlives them: packets can
      * still be released into the pool while components tear down.
@@ -180,15 +156,13 @@ class System
     std::unique_ptr<fault::Watchdog> watchdog_;
     /** "system.allocprof" counters, printed last by dumpStats(). */
     stats::StatGroup allocProf_;
-    /** "system.eventq" ladder/mailbox internals, one block per queue. */
+    /** "system.eventq" ladder internals. */
     stats::StatGroup eventqStats_;
-    /** "system.parallel" coordinator counters (parallel runs only). */
-    stats::StatGroup parallelStats_;
     /** Externally owned groups appended to the stat dumps. */
     std::vector<const stats::StatGroup *> extraStats_;
     std::unique_ptr<BackingStore> store_;
     std::unique_ptr<Dram> dram_;
-    /** Border -> DRAM crossing; the coherence point's memory path. */
+    /** Border -> DRAM hop; the coherence point's memory path. */
     std::unique_ptr<CrossDomainPort> borderToDram_;
     std::unique_ptr<CoherencePoint> coherence_;
     std::unique_ptr<MemBus> bus_;
@@ -200,16 +174,11 @@ class System
     std::unique_ptr<BorderControl> borderControl_;
     std::unique_ptr<Cache> capiL2_;
     std::unique_ptr<IommuFrontend> iommuFrontend_;
-    /** GPU cluster -> border crossing; the GPU's memory path. */
+    /** GPU cluster -> border hop; the GPU's memory path. */
     std::unique_ptr<CrossDomainPort> gpuToBorder_;
     std::unique_ptr<Gpu> gpu_;
-    /** Border -> GPU crossing for the kernel's control commands. */
+    /** Border -> GPU hop for the kernel's control commands. */
     std::unique_ptr<AcceleratorPort> accelPort_;
-    /**
-     * Sharded-loop coordinator (null in serial mode). Last member:
-     * its worker threads are joined before anything else tears down.
-     */
-    std::unique_ptr<ParallelLoop> loop_;
 };
 
 } // namespace bctrl

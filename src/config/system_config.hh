@@ -152,25 +152,11 @@ struct SystemConfig {
     /// @}
 
     /**
-     * Drive the run with the domain-sharded parallel event loop (GPU
-     * cluster / border / DRAM shards on their own threads; see
-     * sim/parallel_loop.hh) instead of the serial loop. Results are
-     * bit-identical to the serial loop by construction — including
-     * chaos runs with an active FaultPlan (the engine keeps one RNG
-     * stream per injection point, and each point is consulted from
-     * exactly one domain). Tracing still assumes a single host thread;
-     * the builder rejects traceMask together with parallelLoop.
-     */
-    bool parallelLoop = false;
-
-    /**
-     * Minimum latency of any interaction crossing a domain border
-     * (GPU cluster <-> border host <-> DRAM), in ticks. This models
-     * the interconnect hop between the accelerator, the border
-     * complex, and memory — and doubles as the conservative-PDES
-     * lookahead of the parallel loop. Applied identically in serial
-     * and sharded runs, so the two stay bit-identical. Default: one
-     * GPU clock period.
+     * Latency of one hop across the modelled interconnect between the
+     * accelerator, the border complex, and memory (GPU cluster <->
+     * border host <-> DRAM), in ticks. Every request, response,
+     * translation, and OS command that crosses it pays this once per
+     * leg. Must be nonzero. Default: one GPU clock period.
      */
     Tick crossDomainLatency = 1429;
 

@@ -298,38 +298,36 @@ void
 Gpu::translateVia(Addr vaddr, bool write, Ats::Callback cb,
                   bool speculative)
 {
-    if (hopQueue_ == nullptr) {
+    if (hopLatency_ == 0) {
         // No border hop wired (unit tests): synchronous ATS.
         ats_.translate(asid_, vaddr, write, std::move(cb), speculative);
         return;
     }
-    // Request hop: deliver the translate to the border domain at our
-    // tick + L. Completion hop: when the ATS answers (border side,
-    // possibly after a long page walk), copy the entry and deliver the
-    // callback back on our queue at the *border's* tick + L — each
-    // side only ever reads its own clock.
+    // Request hop: deliver the translate to the ATS at now + L.
+    // Completion hop: when the ATS answers (possibly after a long page
+    // walk), copy the entry and deliver the callback back at that
+    // tick + L.
     Ats *ats = &ats_;
-    EventQueue *gpuq = &eventQueue();
-    EventQueue *borderq = hopQueue_;
+    EventQueue *eq = &eventQueue();
     const Tick latency = hopLatency_;
     const Asid asid = asid_;
-    borderq->scheduleLambda(
-        [ats, gpuq, borderq, latency, asid, vaddr, write, speculative,
+    eq->scheduleLambda(
+        [ats, eq, latency, asid, vaddr, write, speculative,
          cb = std::move(cb)]() mutable {
             ats->translate(
                 asid, vaddr, write,
-                [gpuq, borderq, latency, cb = std::move(cb)](
+                [eq, latency, cb = std::move(cb)](
                     bool ok, const TlbEntry &entry) mutable {
                     TlbEntry copy = entry;
-                    gpuq->scheduleLambda(
+                    eq->scheduleLambda(
                         [ok, copy, cb = std::move(cb)]() mutable {
                             cb(ok, copy);
                         },
-                        borderq->curTick() + latency);
+                        eq->curTick() + latency);
                 },
                 speculative);
         },
-        eventQueue().curTick() + latency);
+        eq->curTick() + latency);
 }
 
 void

@@ -17,7 +17,6 @@
 #ifndef BCTRL_GPU_GPU_HH
 #define BCTRL_GPU_GPU_HH
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -129,20 +128,12 @@ class Gpu : public SimObject, public AcceleratorControl
     Tlb *l1Tlb(unsigned cu);
 
     /**
-     * Route TLB-miss translation requests through the border domain's
-     * queue with @p latency each way, instead of calling the ATS
-     * synchronously. The ATS (page walker and all) lives on the host
-     * side of the border, so in the sharded build the request and the
-     * completion must each be a latency-carrying message; the builder
-     * wires this in both serial and parallel modes so results stay
-     * bit-identical. Unset (unit tests), translate stays synchronous.
+     * Charge TLB-miss translation requests one interconnect hop of
+     * @p latency each way, instead of calling the ATS synchronously:
+     * the ATS (page walker and all) lives on the host side of the
+     * border. Unset (unit tests), translate stays synchronous.
      */
-    void
-    setCrossDomainHop(EventQueue *border_queue, Tick latency)
-    {
-        hopQueue_ = border_queue;
-        hopLatency_ = latency;
-    }
+    void setCrossDomainHop(Tick latency) { hopLatency_ = latency; }
 
     std::uint64_t memOpsIssued() const
     {
@@ -153,10 +144,7 @@ class Gpu : public SimObject, public AcceleratorControl
         return static_cast<std::uint64_t>(deniedOps_.value());
     }
     /** Memory ops issued but not yet completed (watchdog probe). */
-    std::uint64_t outstandingMemOps() const
-    {
-        return outstandingMemOps_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t outstandingMemOps() const { return outstandingMemOps_; }
 
     /** @name Speculative-crossing accounting (vm/spec_policy.hh) */
     /// @{
@@ -195,7 +183,6 @@ class Gpu : public SimObject, public AcceleratorControl
     Ats &ats_;
     MemDevice &memPath_;
     PacketPool *pool_;
-    EventQueue *hopQueue_ = nullptr;
     Tick hopLatency_ = 0;
 
     std::vector<std::unique_ptr<ComputeUnit>> cus_;
@@ -212,8 +199,7 @@ class Gpu : public SimObject, public AcceleratorControl
 
     bool paused_ = false;
     std::function<void()> pauseCb_;
-    /** Atomic: probed by the watchdog from the coordinator thread. */
-    std::atomic<std::uint64_t> outstandingMemOps_{0};
+    std::uint64_t outstandingMemOps_ = 0;
     std::vector<class Wavefront *> parked_;
 
     stats::Scalar &memOps_;

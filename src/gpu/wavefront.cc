@@ -28,8 +28,6 @@ void
 Wavefront::scheduleStep(Cycles cycles)
 {
     Wavefront *self = this;
-    // Same GPU-cluster domain as cu_ (wavefronts live on their CU's
-    // shard). bclint:allow(cross-domain-direct-call)
     cu_.eventQueue().scheduleLambda([self]() { self->step(); },
                                     cu_.clockEdge(cycles));
 }
@@ -70,8 +68,6 @@ Wavefront::execute(const WorkItem &item)
         const Tick done =
             cu_.acquireIssueSlots(static_cast<unsigned>(item.cycles));
         Wavefront *self = this;
-        // Same GPU-cluster domain as cu_.
-        // bclint:allow(cross-domain-direct-call)
         cu_.eventQueue().scheduleLambda([self]() { self->step(); },
                                         done);
         return;
@@ -83,8 +79,6 @@ Wavefront::execute(const WorkItem &item)
         Wavefront *self = this;
         WorkItem copy = item;
         havePending_ = false;
-        // Same GPU-cluster domain as cu_.
-        // bclint:allow(cross-domain-direct-call)
         cu_.eventQueue().scheduleLambda(
             [self, copy]() { self->issueMem(copy); }, slot);
         return;

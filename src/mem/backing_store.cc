@@ -62,9 +62,6 @@ BackingStore::pageForConst(Addr addr) const
 std::uint8_t *
 BackingStore::pageData(Addr addr)
 {
-    std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
-    if (threadSafe_)
-        lock.lock();
     checkRange(addr, 1);
     return pageFor(addr).data();
 }
@@ -72,9 +69,6 @@ BackingStore::pageData(Addr addr)
 const std::uint8_t *
 BackingStore::pageDataIfResident(Addr addr) const
 {
-    std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
-    if (threadSafe_)
-        lock.lock();
     checkRange(addr, 1);
     const Page *page = pageForConst(addr);
     return page != nullptr ? page->data() : nullptr;
@@ -83,9 +77,6 @@ BackingStore::pageDataIfResident(Addr addr) const
 void
 BackingStore::read(Addr addr, void *dst, Addr len) const
 {
-    std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
-    if (threadSafe_)
-        lock.lock();
     checkRange(addr, len);
     auto *out = static_cast<std::uint8_t *>(dst);
     while (len > 0) {
@@ -104,9 +95,6 @@ BackingStore::read(Addr addr, void *dst, Addr len) const
 void
 BackingStore::write(Addr addr, const void *src, Addr len)
 {
-    std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
-    if (threadSafe_)
-        lock.lock();
     checkRange(addr, len);
     const auto *in = static_cast<const std::uint8_t *>(src);
     while (len > 0) {
@@ -150,9 +138,6 @@ BackingStore::write8(Addr addr, std::uint8_t value)
 void
 BackingStore::zero(Addr addr, Addr len)
 {
-    std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
-    if (threadSafe_)
-        lock.lock();
     checkRange(addr, len);
     while (len > 0) {
         Addr off = pageOffset(addr);

@@ -14,7 +14,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -69,16 +68,6 @@ class BackingStore
     /** Lookups answered by the last-page MRU cache, no hashing. */
     std::uint64_t mruHits() const { return mruHits_; }
 
-    /**
-     * Serialize page lookups (and the MRU cache) with a mutex. Off by
-     * default; the builder turns it on for parallel runs, where the
-     * GPU and DRAM shards both reach functional memory. Note the MRU
-     * hit rate then depends on the thread interleaving — it is a
-     * host-side counter, never simulated state, and is excluded from
-     * bit-identity comparisons for exactly this reason.
-     */
-    void setThreadSafe(bool on) { threadSafe_ = on; }
-
   private:
     using Page = std::array<std::uint8_t, pageSize>;
 
@@ -105,9 +94,6 @@ class BackingStore
     mutable Page *mruPage_ = nullptr;
     mutable std::uint64_t pageLookups_ = 0;
     mutable std::uint64_t mruHits_ = 0;
-
-    bool threadSafe_ = false;
-    mutable std::mutex mutex_;
 };
 
 } // namespace bctrl

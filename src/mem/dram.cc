@@ -104,7 +104,7 @@ Dram::access(const PacketPtr &pkt)
             EventQueue *eqp = &eventQueue();
             fe->holdDropped("dram.response", now, [eqp, held]() {
                 respondAt(*eqp, held, eqp->curTick());
-            }, eqp);
+            });
             return;
           }
           case fault::Kind::delay:

@@ -34,14 +34,12 @@ class MemDevice
 /**
  * Deliver @p pkt's response at tick @p when via the event queue.
  *
- * If the packet crossed a domain border on the way in (homeQueue set
- * by the first CrossDomainPort it traversed), the response callback is
- * delivered on the requester's own queue one cross-domain latency
- * later — the callback touches requester-side state, so it must run
- * on the requester's shard, and the return trip over the interconnect
- * is not free. The hop is charged exactly once per response no matter
- * how many devices forwarded the request (the border complex is one
- * package; only the accelerator <-> host boundary pays).
+ * If the packet crossed the accelerator <-> host interconnect on the
+ * way in (Packet::returnHop set by the first CrossDomainPort it
+ * traversed), the response is delivered one crossing latency later:
+ * the return trip is not free. The hop is charged exactly once per
+ * response no matter how many devices forwarded the request (the
+ * border complex is one package; only the interconnect pays).
  *
  * If Border Control armed a response gate (responseGateTick != 0, the
  * §3.4.1 parallel read check), the callback is deferred through one
@@ -54,10 +52,7 @@ respondAt(EventQueue &eq, const PacketPtr &pkt, Tick when)
 {
     if (!pkt->onResponse)
         return;
-    const bool cross =
-        pkt->homeQueue != nullptr && pkt->homeQueue != &eq;
-    EventQueue *eqp = cross ? pkt->homeQueue : &eq;
-    const Tick fire = cross ? when + eq.crossLatency() : when;
+    EventQueue *eqp = &eq;
     eqp->scheduleLambda([eqp, pkt]() {
         if (pkt->onResponse) {
             // Watchdog food: every delivered response is forward
@@ -82,7 +77,7 @@ respondAt(EventQueue &eq, const PacketPtr &pkt, Tick when)
                 cb(*pkt);
             }
         }
-    }, fire);
+    }, when + pkt->returnHop);
 }
 
 } // namespace bctrl

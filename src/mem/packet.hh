@@ -19,7 +19,6 @@
 #ifndef BCTRL_MEM_PACKET_HH
 #define BCTRL_MEM_PACKET_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -29,8 +28,6 @@
 #include "sim/types.hh"
 
 namespace bctrl {
-
-class EventQueue;
 
 enum class MemCmd : std::uint8_t {
     Read,       ///< demand read (also used for cache fills)
@@ -142,21 +139,15 @@ struct Packet {
      */
     std::uint64_t traceId = 0;
     /**
-     * The queue of the domain this packet was issued from, stamped by
-     * the first cross-domain port it traverses (null until then, and
-     * forever for domain-local traffic). respondAt() routes the
-     * response callback back to this queue — with one cross-domain
-     * latency — when the responder lives in another domain, so
-     * callbacks always run on their owner's shard.
+     * Return-trip latency owed by the response: set to the crossing
+     * latency by the first CrossDomainPort on the request path (zero
+     * until then, and forever for traffic that never leaves its side
+     * of the interconnect). respondAt() adds it to the delivery tick,
+     * so a crossing is charged once each way.
      */
-    EventQueue *homeQueue = nullptr;
-    /**
-     * Intrusive reference count; managed by PacketPtr only. Atomic
-     * (relaxed increments, acquire-release decrement) because
-     * PacketPtr copies travel between shard threads in the parallel
-     * loop.
-     */
-    std::atomic<std::uint32_t> refCount{0};
+    Tick returnHop = 0;
+    /** Intrusive reference count; managed by PacketPtr only. */
+    std::uint32_t refCount = 0;
     /** Owning pool, or null for heap-fallback packets. */
     PacketPool *pool = nullptr;
 
@@ -189,13 +180,13 @@ class PacketPtr
     explicit PacketPtr(Packet *pkt) noexcept : pkt_(pkt)
     {
         if (pkt_ != nullptr)
-            pkt_->refCount.fetch_add(1, std::memory_order_relaxed);
+            ++pkt_->refCount;
     }
 
     PacketPtr(const PacketPtr &other) noexcept : pkt_(other.pkt_)
     {
         if (pkt_ != nullptr)
-            pkt_->refCount.fetch_add(1, std::memory_order_relaxed);
+            ++pkt_->refCount;
     }
 
     PacketPtr(PacketPtr &&other) noexcept : pkt_(other.pkt_)
@@ -229,10 +220,7 @@ class PacketPtr
     void
     reset() noexcept
     {
-        // acq_rel: the thread that drops the last reference must see
-        // every other owner's writes before recycling the packet.
-        if (pkt_ != nullptr &&
-            pkt_->refCount.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        if (pkt_ != nullptr && --pkt_->refCount == 0)
             releasePacket(pkt_);
         pkt_ = nullptr;
     }
@@ -254,9 +242,7 @@ class PacketPtr
     std::uint32_t
     useCount() const noexcept
     {
-        return pkt_ != nullptr
-                   ? pkt_->refCount.load(std::memory_order_relaxed)
-                   : 0;
+        return pkt_ != nullptr ? pkt_->refCount : 0;
     }
 
     friend bool

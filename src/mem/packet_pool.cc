@@ -54,9 +54,6 @@ PacketPtr
 PacketPool::make(MemCmd cmd, Addr paddr, unsigned size, Requestor req,
                  Asid asid)
 {
-    std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
-    if (threadSafe_)
-        lock.lock();
     Packet *pkt;
     if (!free_.empty()) {
         pkt = free_.back();
@@ -89,7 +86,7 @@ PacketPool::make(MemCmd cmd, Addr paddr, unsigned size, Requestor req,
     pkt->responded = false;
     pkt->responseGateTick = 0;
     pkt->traceId = ++nextTraceId_;
-    pkt->homeQueue = nullptr;
+    pkt->returnHop = 0;
 
     if (++inFlight_ > peakInFlight_)
         peakInFlight_ = inFlight_;
@@ -100,13 +97,10 @@ void
 PacketPool::release(Packet *pkt)
 {
     // Drop any captured callback state now (it may own references).
-    // Outside the lock: destroying a capture can release another
-    // packet, re-entering this pool.
+    // Destroying a capture can release another packet, re-entering
+    // this pool, so this happens before the pool is touched.
     pkt->onResponse = nullptr;
-    pkt->homeQueue = nullptr;
-    std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
-    if (threadSafe_)
-        lock.lock();
+    pkt->returnHop = 0;
     BCTRL_ASSERT_MSG(inFlight_ > 0, "pool release with nothing in flight");
     --inFlight_;
     if (free_.size() >= maxPoolSize) {

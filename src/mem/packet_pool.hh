@@ -19,9 +19,7 @@
 #ifndef BCTRL_MEM_PACKET_POOL_HH
 #define BCTRL_MEM_PACKET_POOL_HH
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "mem/packet.hh"
@@ -51,25 +49,8 @@ class PacketPool
     std::size_t poolSize() const { return free_.size(); }
 
     /** Count an onResponse callback that overflowed its inline buffer. */
-    void
-    noteCallbackSpill()
-    {
-        callbackSpills_.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::uint64_t
-    callbackSpills() const
-    {
-        return callbackSpills_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Serialize make/release with a mutex. Off (the default) for the
-     * serial loop; the builder turns it on for parallel runs, where
-     * any shard may mint a packet or drop the last reference. The
-     * free list is cold enough (one lock per request round trip) that
-     * this never shows up next to the simulation work itself.
-     */
-    void setThreadSafe(bool on) { threadSafe_ = on; }
+    void noteCallbackSpill() { ++callbackSpills_; }
+    std::uint64_t callbackSpills() const { return callbackSpills_; }
 
     /**
      * Keep at most this many parked packets; beyond it, released
@@ -90,9 +71,7 @@ class PacketPool
     std::uint64_t heapAllocs_ = 0;
     std::uint64_t inFlight_ = 0;
     std::uint64_t peakInFlight_ = 0;
-    std::atomic<std::uint64_t> callbackSpills_{0};
-    bool threadSafe_ = false;
-    std::mutex mutex_;
+    std::uint64_t callbackSpills_ = 0;
 };
 
 /**

@@ -179,6 +179,12 @@ class Kernel : public SimObject, public FrameAllocator
     }
     /// @}
 
+    /** Page faults serviced for the accelerator (all processes). */
+    std::uint64_t pageFaults() const
+    {
+        return static_cast<std::uint64_t>(pageFaults_.value());
+    }
+
     /** @name Border Control violation handling */
     /// @{
     void onViolation(const Packet &pkt);

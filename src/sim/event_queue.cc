@@ -21,24 +21,9 @@ constexpr std::size_t initialOverflowCapacity = 256;
  * events instead of parking them, bounding idle memory after a burst.
  */
 constexpr std::size_t maxLambdaPool = 4096;
-
-/**
- * The shard whose window is executing on this thread (null on the
- * coordinator and in serial mode). push() consults it to resolve the
- * stamping sender and to decide between a direct ladder insert and a
- * cross-domain mailbox post. Function-local so there is no
- * namespace-scope mutable state.
- */
-EventQueue *&
-tlsActiveShard()
-{
-    static thread_local EventQueue *shard = nullptr;
-    return shard;
-}
 } // namespace
 
-EventQueue::EventQueue(Domain domain)
-    : domain_(domain), primary_(this), group_{this, this, this}
+EventQueue::EventQueue()
 {
     drain_.reserve(initialDrainCapacity);
     buckets_.resize(numBuckets);
@@ -53,9 +38,6 @@ EventQueue::~EventQueue()
 {
     // Drain every storage tier, deleting queue-owned lambda events that
     // never fired. Externally owned events are left to their owners.
-    // Owned lambdas are deleted directly (never recycled) because a
-    // group member's pool may already be gone when another member is
-    // destroyed.
     auto destroyEntry = [](const Entry &e) {
         if (e.ownedLambda())
             delete e.event;
@@ -69,130 +51,21 @@ EventQueue::~EventQueue()
         destroyEntry(overflow_.top());
         overflow_.pop();
     }
-    if (mailboxes_ != nullptr) {
-        // A run aborted by the watchdog can leave undrained posts.
-        Entry e;
-        for (std::size_t d = 0; d < numDomains; ++d)
-            while (mailboxes_->fromDomain[d].pop(e))
-                destroyEntry(e);
-        for (const Entry &o : crossOverflow_)
-            destroyEntry(o);
-    }
     for (LambdaEvent *ev : lambdaPool_)
         delete ev;
-}
-
-void
-EventQueue::formSerialGroup(EventQueue &gpu, EventQueue &dram,
-                            Tick cross_latency)
-{
-    panic_if(domain_ != Domain::border ||
-                 gpu.domain_ != Domain::gpuCluster ||
-                 dram.domain_ != Domain::dram,
-             "serial group queues must be (border, gpuCluster, dram)");
-    panic_if(sharded_ || gpu.sharded_ || dram.sharded_,
-             "queue is already in a shard group");
-    panic_if(liveEvents_ + gpu.liveEvents_ + dram.liveEvents_ != 0 ||
-                 totalEntries_ + gpu.totalEntries_ +
-                         dram.totalEntries_ !=
-                     0,
-             "queues joined a serial group while holding events");
-    group_[0] = this;
-    group_[1] = &gpu;
-    group_[2] = &dram;
-    for (EventQueue *q : group_) {
-        q->group_[0] = this;
-        q->group_[1] = &gpu;
-        q->group_[2] = &dram;
-        q->primary_ = this;
-        q->crossLatency_ = cross_latency;
-    }
-}
-
-void
-EventQueue::formShardGroup(EventQueue &border, EventQueue &gpu,
-                           EventQueue &dram, Tick cross_latency)
-{
-    panic_if(border.domain_ != Domain::border ||
-                 gpu.domain_ != Domain::gpuCluster ||
-                 dram.domain_ != Domain::dram,
-             "shard group queues must be (border, gpuCluster, dram)");
-    // Zero lookahead would let a cross post land at the sender's
-    // current tick, inside the window the target may already have
-    // executed past: the windowed protocol is only conservative for
-    // strictly positive cross-domain latency.
-    panic_if(cross_latency == 0,
-             "shard group needs nonzero cross-domain lookahead");
-    EventQueue *members[numDomains] = {&border, &gpu, &dram};
-    for (EventQueue *q : members) {
-        panic_if(q->primary_ != q || q->sharded_,
-                 "queue is already grouped");
-        panic_if(q->liveEvents_ != 0 || q->totalEntries_ != 0,
-                 "queue joined a shard group while holding events");
-        q->sharded_ = true;
-        q->crossLatency_ = cross_latency;
-        q->group_[0] = &border;
-        q->group_[1] = &gpu;
-        q->group_[2] = &dram;
-        q->mailboxes_ = std::make_unique<Mailboxes>();
-    }
-}
-
-void
-EventQueue::rebalanceLambdaPools(EventQueue *const queues[])
-{
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < numDomains; ++i)
-        total += queues[i]->lambdaPool_.size();
-    const std::size_t target = total / numDomains;
-    if (target == 0)
-        return;
-    // One donor pass, one receiver pass: steady state moves about as
-    // many pointers per window as cross-domain posts happened in it.
-    std::vector<LambdaEvent *> surplus;
-    for (std::size_t i = 0; i < numDomains; ++i) {
-        auto &pool = queues[i]->lambdaPool_;
-        while (pool.size() > target) {
-            surplus.push_back(pool.back());
-            pool.pop_back();
-        }
-    }
-    for (std::size_t i = 0; i < numDomains && !surplus.empty(); ++i) {
-        auto &pool = queues[i]->lambdaPool_;
-        while (pool.size() < target && !surplus.empty()) {
-            pool.push_back(surplus.back());
-            surplus.pop_back();
-        }
-    }
-    // Rounding leftovers (< numDomains of them) go to the first pool.
-    for (LambdaEvent *ev : surplus)
-        queues[0]->lambdaPool_.push_back(ev);
 }
 
 LambdaEvent *
 EventQueue::acquireLambda(LambdaFn fn, int priority)
 {
-    // The pool belongs to the thread doing the scheduling: the sender
-    // shard's in shard mode (a cross-domain schedule must not touch
-    // the target's free list from a foreign thread), the group
-    // leader's otherwise. Events recycle into the executing queue's
-    // pool, so pooled events migrate between members; the free lists
-    // are interchangeable.
-    EventQueue *pool;
-    if (sharded_) {
-        EventQueue *active = tlsActiveShard();
-        pool = active != nullptr ? active : this;
-    } else {
-        pool = primary_;
-    }
     if (fn.spilled())
-        ++pool->lambdaSpills_;
-    if (pool->lambdaPool_.empty()) {
-        ++pool->lambdaAllocs_;
+        ++lambdaSpills_;
+    if (lambdaPool_.empty()) {
+        ++lambdaAllocs_;
         return new LambdaEvent(std::move(fn), priority);
     }
-    LambdaEvent *ev = pool->lambdaPool_.back();
-    pool->lambdaPool_.pop_back();
+    LambdaEvent *ev = lambdaPool_.back();
+    lambdaPool_.pop_back();
     ev->rearm(std::move(fn), priority);
     return ev;
 }
@@ -200,8 +73,6 @@ EventQueue::acquireLambda(LambdaFn fn, int priority)
 void
 EventQueue::recycleLambda(Event *ev)
 {
-    // Only invoked on storage owners from their own thread (execute /
-    // stale purge), so the pool touched here is always thread-local.
     auto *lev = static_cast<LambdaEvent *>(ev);
     if (lambdaPool_.size() >= maxLambdaPool) {
         delete lev;
@@ -231,37 +102,10 @@ EventQueue::discardStale(const Entry &e)
 void
 EventQueue::push(Event *ev, Tick when, bool owned_lambda)
 {
-    // Resolve the stamping sender: the queue whose event is executing
-    // on this thread (shard worker context or the serial leader's
-    // currentExec_), or the target itself for pushes from outside any
-    // event (setup, between runs). Sender-relative stamps are what
-    // keep serial and sharded key trajectories identical.
-    EventQueue *sender;
-    if (sharded_) {
-        EventQueue *active = tlsActiveShard();
-        sender = active != nullptr ? active : this;
-    } else {
-        EventQueue *exec = primary_->currentExec_;
-        sender = exec != nullptr ? exec : this;
-    }
-    // The past-check must read the sender's clock: in shard mode the
-    // target's clock belongs to another running thread.
-    const Tick now = sharded_ ? sender->curTick_ : primary_->curTick_;
-    panic_if(when < now,
+    panic_if(when < curTick_,
              "scheduling event '%s' in the past (%llu < %llu)",
              ev->name().c_str(), (unsigned long long)when,
-             (unsigned long long)now);
-    // Lookahead contract: a schedule crossing a domain border must
-    // carry at least the group's cross-domain latency. The serial
-    // oracle enforces the same bound the windowed loop relies on, so
-    // violations surface deterministically first.
-    BCTRL_ASSERT_MSG(sender == this || when >= now + crossLatency_,
-                     "cross-domain schedule for '%s' at tick %llu "
-                     "carries less than the %llu-tick lookahead "
-                     "(sender at %llu)",
-                     ev->name().c_str(), (unsigned long long)when,
-                     (unsigned long long)crossLatency_,
-                     (unsigned long long)now);
+             (unsigned long long)curTick_);
     // No-double-schedule: every caller must have descheduled (or never
     // scheduled) the event; a second live ladder entry for the same
     // event would fire its callback twice.
@@ -269,31 +113,17 @@ EventQueue::push(Event *ev, Tick when, bool owned_lambda)
                      "event '%s' pushed while already scheduled",
                      ev->name().c_str());
     // The packed word needs the priority to fit its 16-bit field and
-    // the sequence its 43 bits; both hold by construction (priorities
-    // are small enum-scale ints, 2^43 schedules per sender is out of
-    // reach).
+    // the sequence its 47 bits; both hold by construction (priorities
+    // are small enum-scale ints, 2^47 schedules is out of reach).
     BCTRL_ASSERT(ev->priority() >= -(1 << 15) &&
                  ev->priority() < (1 << 15));
     ev->scheduled_ = true;
     ev->squashed_ = false;
     ev->when_ = when;
-    ev->sequence_ = packPrioSeq(ev->priority(), sender->domain_,
-                                sender->nextSequence_++, domain_,
+    ev->sequence_ = packPrioSeq(ev->priority(), nextSequence_++,
                                 owned_lambda);
-    const Entry e{when, ev->sequence_, ev};
-    if (sharded_) {
-        if (sender != this) {
-            // Foreign worker thread: the entry travels by mailbox and
-            // is folded in (and counted live) at the next barrier.
-            postCross(sender, e);
-            return;
-        }
-        ++liveEvents_;
-        insertEntry(e);
-        return;
-    }
-    ++primary_->liveEvents_;
-    primary_->insertEntry(e);
+    ++liveEvents_;
+    insertEntry(Entry{when, ev->sequence_, ev});
 }
 
 void
@@ -316,54 +146,6 @@ EventQueue::insertEntry(const Entry &e)
     } else {
         ++overflowSpills_;
         overflow_.push(e);
-    }
-}
-
-void
-EventQueue::postCross(EventQueue *sender, const Entry &e)
-{
-    // Only queue-owned one-shot lambdas may cross shard borders: a
-    // plain Event could be descheduled or rescheduled by its owner
-    // while the entry is still in flight, racing the target thread.
-    BCTRL_ASSERT_MSG(e.ownedLambda(),
-                     "plain Events cannot be scheduled across shards");
-    auto &ring =
-        mailboxes_->fromDomain[static_cast<std::size_t>(sender->domain_)];
-    if (!ring.tryPush(e)) {
-        // A single event posted a burst beyond the ring capacity
-        // (e.g. a full-cache flush). Correct but slow; counted so the
-        // stats surface it.
-        std::lock_guard<std::mutex> guard(crossOverflowMutex_);
-        crossOverflow_.push_back(e);
-        ++mailboxOverflows_;
-    }
-}
-
-void
-EventQueue::drainCrossPosts()
-{
-    BCTRL_ASSERT(mailboxes_ != nullptr);
-    Entry e;
-    for (std::size_t d = 0; d < numDomains; ++d) {
-        while (mailboxes_->fromDomain[d].pop(e)) {
-            BCTRL_ASSERT(e.when >= curTick_);
-            ++liveEvents_;
-            insertEntry(e);
-        }
-    }
-    if (!crossOverflow_.empty()) {
-        std::vector<Entry> spilled;
-        {
-            std::lock_guard<std::mutex> guard(crossOverflowMutex_);
-            spilled.swap(crossOverflow_);
-        }
-        // Arrival order is irrelevant: insertEntry files every entry
-        // by its total-order key.
-        for (const Entry &o : spilled) {
-            BCTRL_ASSERT(o.when >= curTick_);
-            ++liveEvents_;
-            insertEntry(o);
-        }
     }
 }
 
@@ -465,8 +247,6 @@ EventQueue::popHead()
 void
 EventQueue::execute(const Entry &e)
 {
-    // Only ever invoked on storage owners (the serial leader or a
-    // shard), so this queue's clock and live count are authoritative.
     Event *ev = e.event;
     panic_if(e.when < curTick_, "event time ran backwards");
     // Monotonic-tick contract: the entry about to execute carries the
@@ -477,13 +257,10 @@ EventQueue::execute(const Entry &e)
                      ev->name().c_str(), (unsigned long long)e.when,
                      (unsigned long long)ev->when_);
     BCTRL_ASSERT(liveEvents_ > 0);
-    EventQueue *target = sharded_ ? this : group_[e.targetDomainIndex()];
     curTick_ = e.when;
     ev->scheduled_ = false;
     --liveEvents_;
-    ++target->processed_;
-    if (!sharded_)
-        currentExec_ = target;
+    ++processed_;
     if (profiler_ != nullptr) {
         // The eventLoop slot wraps every callback: it is the
         // denominator for events/sec and the 100% reference the
@@ -494,8 +271,6 @@ EventQueue::execute(const Entry &e)
     } else {
         ev->process();
     }
-    if (!sharded_)
-        currentExec_ = nullptr;
     if (e.ownedLambda())
         recycleLambda(ev);
 }
@@ -527,24 +302,11 @@ EventQueue::deschedule(Event *ev)
 {
     panic_if(!ev->scheduled_, "descheduling unscheduled event '%s'",
              ev->name().c_str());
-    // In shard mode descheduling is a strictly domain-local affair:
-    // the squash mark and live count belong to the queue whose ladder
-    // holds the entry, and only its thread (or a quiescent caller)
-    // may touch them.
-    BCTRL_ASSERT_MSG(
-        !sharded_ ||
-            (((ev->sequence_ >> 1) & 3) ==
-                 static_cast<std::uint64_t>(domain_) &&
-             (tlsActiveShard() == nullptr || tlsActiveShard() == this)),
-        "cross-shard deschedule of event '%s'", ev->name().c_str());
     // The ladder entry stays behind; mark the event squashed so the
     // entry is purged when its bucket drains (or discarded at peek).
     ev->scheduled_ = false;
     ev->squashed_ = true;
-    if (sharded_)
-        --liveEvents_;
-    else
-        --primary_->liveEvents_;
+    --liveEvents_;
 }
 
 void
@@ -564,18 +326,12 @@ EventQueue::scheduleLambda(LambdaFn fn, Tick when, int priority)
 bool
 EventQueue::step()
 {
-    panic_if(sharded_ || primary_ != this,
-             "step() must be called on a solo queue or serial leader");
     return serviceOne(tickNever);
 }
 
 Tick
 EventQueue::run(Tick maxTick)
 {
-    panic_if(sharded_,
-             "sharded queues are driven by ParallelLoop, not run()");
-    panic_if(primary_ != this,
-             "run() must be called on the serial group's leader");
     stopRequested_ = false;
     if (maxTick == tickNever) {
         // Batched dispatch: System::run() always runs unbounded, so
@@ -601,32 +357,6 @@ EventQueue::run(Tick maxTick)
         }
     }
     return curTick_;
-}
-
-Tick
-EventQueue::nextEventTick()
-{
-    const Entry *head = peekHead();
-    return head != nullptr ? head->when : tickNever;
-}
-
-std::uint64_t
-EventQueue::runGranted(Tick bound)
-{
-    BCTRL_ASSERT(sharded_);
-    tlsActiveShard() = this;
-    std::uint64_t executed = 0;
-    for (;;) {
-        const Entry *head = peekHead();
-        if (head == nullptr || head->when >= bound)
-            break;
-        const Entry e = *head;
-        popHead();
-        execute(e);
-        ++executed;
-    }
-    tlsActiveShard() = nullptr;
-    return executed;
 }
 
 } // namespace bctrl

@@ -2,10 +2,10 @@
  * @file
  * A global-order event queue for discrete-event simulation.
  *
- * Events are ordered by (tick, priority, sender domain, insertion
- * sequence); equal-tick events therefore execute in a deterministic
- * order, which keeps every simulation reproducible for a given seed
- * and configuration.
+ * One queue drives a whole simulated System. Events are ordered by
+ * (tick, priority, insertion sequence); equal-tick events of equal
+ * priority therefore run first-in first-out, which keeps every
+ * simulation reproducible for a given seed and configuration.
  *
  * Storage is a tick-bucketed ladder (calendar) queue rather than a
  * single binary heap: the near-horizon ticks that dominate simulation
@@ -14,35 +14,12 @@
  * injectors) spill to a small fallback heap. See DESIGN.md §14 for the
  * bucket geometry and the proof sketch that the ladder preserves the
  * exact order of the classic heap.
- *
- * Queues group in one of two ways (always one queue per component
- * domain, see Domain in sim/types.hh):
- *
- *  - Serial group (formSerialGroup): the group leader owns all
- *    storage and the single global clock; the other members are thin
- *    facades that stamp their own (sender domain, sequence) order
- *    bits. This is the bit-identical oracle for the sharded loop.
- *
- *  - Shard group (formShardGroup, built by sim/parallel_loop.hh):
- *    every member owns its storage, clock, and counters, and runs on
- *    its own worker thread. Cross-domain schedules must carry at
- *    least the group's cross-domain latency of lookahead and travel
- *    through SPSC mailboxes drained at window barriers.
- *
- * Because an event's order key is stamped from per-sender-domain
- * counters in both modes, a queue executes the same events with the
- * same keys in the same order either way; only the host-thread
- * interleaving differs. A solo queue is its own one-member group and
- * pays a predictable branch for the hooks.
  */
 
 #ifndef BCTRL_SIM_EVENT_QUEUE_HH
 #define BCTRL_SIM_EVENT_QUEUE_HH
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <queue>
 #include <string>
 #include <utility>
@@ -50,14 +27,12 @@
 
 #include "sim/inline_function.hh"
 #include "sim/logging.hh"
-#include "sim/mailbox.hh"
 #include "sim/types.hh"
 
 namespace bctrl {
 
 class EventQueue;
 class HostProfiler;
-class ParallelLoop;
 
 namespace trace {
 class Tracer;
@@ -182,49 +157,19 @@ class LambdaEvent : public Event
 
 /**
  * The discrete-event queue. One instance drives an entire simulated
- * system (solo mode), or one component domain of a grouped system
- * (serial facade or shard mode); components hold a reference to it.
+ * system; components hold a reference to it.
  */
 class EventQueue
 {
   public:
-    /**
-     * Global execution order of a scheduled entry: (tick, packed
-     * order word). Keys are unique (per-sender sequence numbers are
-     * never reused and the sender domain is part of the word), so
-     * they impose a total order across every member of a group. The
-     * default-constructed key is the +infinity sentinel (sorts after
-     * every real key).
-     */
-    struct OrderKey {
-        Tick when = tickNever;
-        std::uint64_t prioSeq = ~std::uint64_t(0);
-
-        bool
-        operator<(const OrderKey &o) const
-        {
-            if (when != o.when)
-                return when < o.when;
-            return prioSeq < o.prioSeq;
-        }
-    };
-
-    explicit EventQueue(Domain domain = Domain::border);
+    EventQueue();
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /** The component domain this queue drives (border when solo). */
-    Domain domain() const { return domain_; }
-
-    /**
-     * Current simulated time in ticks. Group-global in serial/solo
-     * mode; per-domain while a sharded run is in flight (the parallel
-     * loop re-synchronizes every member to the global maximum when a
-     * run completes, so quiescent reads agree in both modes).
-     */
-    Tick curTick() const { return primary_->curTick_; }
+    /** Current simulated time in ticks. */
+    Tick curTick() const { return curTick_; }
 
     /** Schedule @p ev to fire at absolute tick @p when (>= curTick). */
     void schedule(Event *ev, Tick when);
@@ -244,71 +189,42 @@ class EventQueue
     void scheduleLambda(LambdaFn fn, Tick when,
                         int priority = Event::defaultPriority);
 
-    /**
-     * @return true if no runnable events remain anywhere in the
-     * group. In shard mode this is a quiescent-only probe (between
-     * runs / at barriers); it reads every member's counters.
-     */
-    bool empty() const { return size() == 0; }
+    /** @return true if no runnable events remain. */
+    bool empty() const { return liveEvents_ == 0; }
 
-    /** Number of live (non-squashed) events in the group (quiescent
-     * probe in shard mode, like empty()). */
-    std::uint64_t
-    size() const
-    {
-        return groupSum([](const EventQueue &q) { return q.liveEvents_; });
-    }
+    /** Number of live (non-squashed) events. */
+    std::uint64_t size() const { return liveEvents_; }
 
     /**
-     * Run until the queue drains or @p maxTick passes. Only valid on
-     * a solo queue or a serial group's leader; sharded groups are
-     * driven by ParallelLoop.
+     * Run until the queue drains or @p maxTick passes.
      * @return the tick of the last event processed.
      */
     Tick run(Tick maxTick = tickNever);
 
     /**
-     * Execute at most one event (solo / serial leader only).
+     * Execute at most one event.
      * @return false if the queue was empty.
      */
     bool step();
 
-    /** Total events processed by the group since construction. */
-    std::uint64_t
-    eventsProcessed() const
-    {
-        return groupSum([](const EventQueue &q) { return q.processed_; });
-    }
+    /** Total events processed since construction. */
+    std::uint64_t eventsProcessed() const { return processed_; }
 
     /**
-     * LambdaEvents heap-allocated since construction (group total).
-     * With the free-list pools this stays near the peak number of
-     * in-flight lambdas rather than growing with every
-     * scheduleLambda() call.
+     * LambdaEvents heap-allocated since construction. With the
+     * free-list pool this stays near the peak number of in-flight
+     * lambdas rather than growing with every scheduleLambda() call.
      */
-    std::uint64_t
-    lambdaAllocations() const
-    {
-        return groupSum([](const EventQueue &q) { return q.lambdaAllocs_; });
-    }
+    std::uint64_t lambdaAllocations() const { return lambdaAllocs_; }
 
-    /** LambdaEvents currently parked in the group's free-list pools. */
-    std::size_t
-    lambdaPoolSize() const
-    {
-        return groupSum(
-            [](const EventQueue &q) { return q.lambdaPool_.size(); });
-    }
+    /** LambdaEvents currently parked in the free-list pool. */
+    std::size_t lambdaPoolSize() const { return lambdaPool_.size(); }
 
     /**
      * Lambda callbacks whose capture exceeded lambdaCallbackCapacity
      * and spilled to the heap. Zero on the steady-state request path.
      */
-    std::uint64_t
-    lambdaSpills() const
-    {
-        return groupSum([](const EventQueue &q) { return q.lambdaSpills_; });
-    }
+    std::uint64_t lambdaSpills() const { return lambdaSpills_; }
 
     /**
      * Stale (squashed or superseded) entries discarded when their
@@ -319,8 +235,8 @@ class EventQueue
     std::uint64_t stalePurged() const { return stalePurged_; }
 
     /**
-     * Entries currently stored in this queue's ladder, including stale
-     * ones not yet purged. Always >= the queue's share of size().
+     * Entries currently stored in the ladder, including stale ones not
+     * yet purged. Always >= size().
      */
     std::uint64_t pendingEntries() const { return totalEntries_; }
 
@@ -333,52 +249,6 @@ class EventQueue
     std::uint64_t overflowSpills() const { return overflowSpills_; }
 
     /**
-     * Cross-domain posts that found their mailbox ring full and fell
-     * back to the locked overflow list (shard mode only). Nonzero is
-     * correct but slow; it means a single event posted a burst larger
-     * than crossMailboxCapacity.
-     */
-    std::uint64_t mailboxOverflows() const { return mailboxOverflows_; }
-
-    /**
-     * Entries parked in this queue's cross-domain mailbox rings,
-     * awaiting the next window barrier (shard mode; 0 otherwise).
-     * Safe to sample from any thread — the rings' indices are atomic —
-     * so the watchdog's hang report can read foreign shards' mailboxes
-     * live. Posts on the locked overflow fallback list are excluded
-     * (they are rare and counted by mailboxOverflows()).
-     */
-    std::size_t
-    mailboxDepth() const
-    {
-        if (!mailboxes_)
-            return 0;
-        std::size_t depth = 0;
-        for (const auto &ring : mailboxes_->fromDomain)
-            depth += ring.size();
-        return depth;
-    }
-
-    /**
-     * The minimum latency every cross-domain schedule must carry (the
-     * conservative-PDES lookahead). Zero for solo queues; set by
-     * formSerialGroup / formShardGroup on every member.
-     */
-    Tick crossLatency() const { return crossLatency_; }
-
-    /**
-     * Form a serial group: this queue (the leader, border domain)
-     * keeps all event storage and the global clock; @p gpu and
-     * @p dram become stamping facades. All three queues must be
-     * empty. @p cross_latency is the minimum tick distance every
-     * cross-domain schedule must carry — the same contract the
-     * sharded loop needs, enforced here (under BCTRL_CONTRACTS) so
-     * the deterministic oracle catches violations first.
-     */
-    void formSerialGroup(EventQueue &gpu, EventQueue &dram,
-                         Tick cross_latency);
-
-    /**
      * @name Observability hooks
      * Both pointers are null unless the owning System enabled the
      * facility, so the disabled cost at every emit/profile site is a
@@ -386,9 +256,9 @@ class EventQueue
      * simulated state: enabling them is bit-identical on RunResults.
      */
     /// @{
-    trace::Tracer *tracer() const { return primary_->tracer_; }
+    trace::Tracer *tracer() const { return tracer_; }
     void setTracer(trace::Tracer *tracer) { tracer_ = tracer; }
-    HostProfiler *profiler() const { return primary_->profiler_; }
+    HostProfiler *profiler() const { return profiler_; }
     void setProfiler(HostProfiler *profiler) { profiler_ = profiler; }
     /// @}
 
@@ -400,47 +270,31 @@ class EventQueue
      * zero-fault path is bit-identical.
      */
     /// @{
-    fault::FaultEngine *faultEngine() const
-    {
-        return primary_->faultEngine_;
-    }
+    fault::FaultEngine *faultEngine() const { return faultEngine_; }
     void setFaultEngine(fault::FaultEngine *engine)
     {
         faultEngine_ = engine;
     }
-    fault::Watchdog *watchdog() const { return primary_->watchdog_; }
+    fault::Watchdog *watchdog() const { return watchdog_; }
     void setWatchdog(fault::Watchdog *watchdog) { watchdog_ = watchdog; }
 
     /**
      * Forward-progress food for the watchdog: response delivery and
      * memory-op retirement call this unconditionally (a bare counter
-     * increment on the calling queue; no simulated state is touched).
+     * increment; no simulated state is touched).
      */
-    void
-    noteProgress()
-    {
-        progressMarks_.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::uint64_t
-    progressMarks() const
-    {
-        return groupSum([](const EventQueue &q) {
-            return q.progressMarks_.load(std::memory_order_relaxed);
-        });
-    }
+    void noteProgress() { ++progressMarks_; }
+    std::uint64_t progressMarks() const { return progressMarks_; }
 
     /**
-     * Ask run() to return after the current event (next window in
-     * shard mode). Cleared on the next run() entry; used by the
-     * watchdog to fail fast on a hang.
+     * Ask run() to return after the current event. Cleared on the
+     * next run() entry; used by the watchdog to fail fast on a hang.
      */
-    void requestStop() { primary_->stopRequested_ = true; }
-    bool stopRequested() const { return primary_->stopRequested_; }
+    void requestStop() { stopRequested_ = true; }
+    bool stopRequested() const { return stopRequested_; }
     /// @}
 
   private:
-    friend class ParallelLoop;
-
     /**
      * A ladder entry: 24 bytes, so bucket traffic stays light. The
      * intra-tick order and the queue-owns-this-lambda flag are packed
@@ -448,20 +302,13 @@ class EventQueue
      *
      *   [63:48] priority biased by +2^15 (unsigned compare == the
      *           signed priority order)
-     *   [47:46] sender domain (the queue whose counter stamped this)
-     *   [45:3]  per-sender insertion sequence (unique; 2^43
-     *           schedules per sender domain)
-     *   [2:1]   target domain (the queue this entry executes on)
+     *   [47:1]  insertion sequence (unique; 2^47 schedules)
      *   [0]     ownedLambda
      *
-     * Because (sender, sequence) is unique per entry, comparing the
-     * packed word orders by (priority, sender, sequence) and the low
-     * bits never decide. Sender-relative sequences are what make a
-     * serial and a sharded run stamp identical keys: each sender
-     * executes its own events in the same order in both modes, so
-     * its counter trajectory is identical. The event's sequence_
-     * stores the same packed word, so the is-this-entry-current
-     * check is one compare.
+     * Because the sequence is unique per entry, comparing the packed
+     * word orders by (priority, sequence) and the low bit never
+     * decides. The event's sequence_ stores the same packed word, so
+     * the is-this-entry-current check is one compare.
      */
     struct Entry {
         Tick when;
@@ -469,23 +316,13 @@ class EventQueue
         Event *event;
 
         bool ownedLambda() const { return (prioSeq & 1) != 0; }
-        std::size_t
-        targetDomainIndex() const
-        {
-            return static_cast<std::size_t>((prioSeq >> 1) & 3);
-        }
-        OrderKey key() const { return OrderKey{when, prioSeq}; }
     };
 
     static std::uint64_t
-    packPrioSeq(int priority, Domain sender, std::uint64_t sequence,
-                Domain target, bool owned_lambda)
+    packPrioSeq(int priority, std::uint64_t sequence, bool owned_lambda)
     {
         return (static_cast<std::uint64_t>(priority + (1 << 15)) << 48) |
-               (static_cast<std::uint64_t>(sender) << 46) |
-               (sequence << 3) |
-               (static_cast<std::uint64_t>(target) << 1) |
-               (owned_lambda ? 1 : 0);
+               (sequence << 1) | (owned_lambda ? 1 : 0);
     }
 
     /** "a after b" ordering, so heaps keep the minimum key on top. */
@@ -531,35 +368,10 @@ class EventQueue
                (numBuckets - 1);
     }
 
-    /** Sum @p f over the distinct members of this queue's group (a
-     * solo queue lists itself three times; count it once). */
-    template <typename F>
-    std::uint64_t
-    groupSum(F f) const
-    {
-        std::uint64_t sum = 0;
-        for (std::size_t d = 0; d < numDomains; ++d) {
-            const EventQueue *q = group_[d];
-            bool seen = false;
-            for (std::size_t e = 0; e < d; ++e)
-                seen = seen || group_[e] == q;
-            if (!seen)
-                sum += f(*q);
-        }
-        return sum;
-    }
-
     void push(Event *ev, Tick when, bool owned_lambda);
 
-    /** Place a fully formed entry into ladder storage (this thread). */
+    /** Place a fully formed entry into ladder storage. */
     void insertEntry(const Entry &e);
-
-    /** Route a schedule from a foreign shard thread into the mailbox. */
-    void postCross(EventQueue *sender, const Entry &e);
-
-    /** Merge all mailbox posts into ladder storage. Shard mode only;
-     * called by the coordinator at window barriers (workers parked). */
-    void drainCrossPosts();
 
     /**
      * Load the active bucket into the sorted drain array, discarding
@@ -569,14 +381,14 @@ class EventQueue
 
     /**
      * Advance the active window until a nonempty bucket is loaded.
-     * @return false if no entries remain anywhere in this queue.
+     * @return false if no entries remain anywhere in the queue.
      */
     bool advanceWindow();
 
     /**
-     * Make the head entry (minimal live entry of this queue)
-     * available, discarding stale entries on the way.
-     * @return nullptr if this queue holds no live entries.
+     * Make the head entry (minimal live entry) available, discarding
+     * stale entries on the way.
+     * @return nullptr if the queue holds no live entries.
      */
     const Entry *peekHead();
 
@@ -592,41 +404,10 @@ class EventQueue
      */
     bool serviceOne(Tick maxTick);
 
-    /**
-     * The tick of this queue's next live event, or tickNever if it is
-     * drained. Coordinator-side probe for window computation;
-     * structural only (never executes).
-     */
-    Tick nextEventTick();
-
-    /**
-     * Execute this shard's events in key order while their tick stays
-     * strictly below @p bound (the coordinator's window limit).
-     * Cross-domain schedules made during the window land in
-     * mailboxes; the lookahead contract guarantees they fall at or
-     * beyond the bound, so none can be missed. Worker threads only.
-     * @return events executed.
-     */
-    std::uint64_t runGranted(Tick bound);
-
-    /** Form a shard group from the three domain queues (all empty). */
-    static void formShardGroup(EventQueue &border, EventQueue &gpu,
-                               EventQueue &dram, Tick cross_latency);
-
-    /**
-     * Even out the shards' parked-lambda free lists. Cross-domain
-     * posts acquire from the sender's pool but recycle into the
-     * receiver's, so a one-way flow (GPU -> border) would drain the
-     * sender into endless heap allocation. The coordinator calls this
-     * at window barriers (workers parked, single-threaded).
-     */
-    static void rebalanceLambdaPools(EventQueue *const queues[]);
-
-    /** Take a LambdaEvent from a pool (or allocate one) and arm it. */
+    /** Take a LambdaEvent from the pool (or allocate one) and arm it. */
     LambdaEvent *acquireLambda(LambdaFn fn, int priority);
 
-    /** Return a fired queue-owned lambda to this queue's pool. Only
-     * invoked on storage owners (the executing thread's queue). */
+    /** Return a fired queue-owned lambda to the pool. */
     void recycleLambda(Event *ev);
 
     /**
@@ -636,55 +417,7 @@ class EventQueue
      */
     void discardStale(const Entry &e);
 
-    Domain domain_;
-
-    /**
-     * Clock/bookkeeping delegate. Solo queues and shard members point
-     * at themselves; serial-group facades point at the group leader,
-     * which owns the storage, the global clock, and the live-event
-     * count.
-     */
-    EventQueue *primary_;
-
-    /**
-     * The queues of this group indexed by Domain, for routing an
-     * entry's target-domain bits to its queue and for group-sum
-     * accessors. A solo queue lists itself in every slot.
-     */
-    EventQueue *group_[numDomains];
-
-    /** True in shard mode: per-queue clocks, mailboxes, own thread. */
-    bool sharded_ = false;
-
-    /** Minimum cross-domain schedule distance (0 for solo queues). */
-    Tick crossLatency_ = 0;
-
-    /**
-     * Serial mode: the queue whose event is currently executing (set
-     * by execute() from the entry's target bits, null outside
-     * event context). push() uses it as the stamping sender, the
-     * serial counterpart of the shard worker's thread-local.
-     * Meaningful on storage owners only.
-     */
-    EventQueue *currentExec_ = nullptr;
-
-    /**
-     * Cross-thread schedule mailboxes, one SPSC ring per producer
-     * domain; allocated only in shard mode. A schedule() arriving
-     * from a foreign shard's worker thread is posted here (already
-     * sequenced by its sender) and folded into the ladder by the
-     * coordinator at the next window barrier. Ring overflow (a
-     * single event posting a burst beyond the ring capacity) falls
-     * back to the locked crossOverflow_ list.
-     */
-    struct Mailboxes {
-        SpscRing<Entry, crossMailboxCapacity> fromDomain[numDomains];
-    };
-    std::unique_ptr<Mailboxes> mailboxes_;
-    std::mutex crossOverflowMutex_;
-    std::vector<Entry> crossOverflow_;
-
-    /** @name Ladder storage (always per-queue, never delegated) */
+    /** @name Ladder storage */
     /// @{
     /**
      * Sorted entries of the active bucket, drained by index. Entries
@@ -717,7 +450,6 @@ class EventQueue
     std::uint64_t totalEntries_ = 0;
     std::uint64_t stalePurged_ = 0;
     std::uint64_t overflowSpills_ = 0;
-    std::uint64_t mailboxOverflows_ = 0;
     std::vector<LambdaEvent *> lambdaPool_;
     std::uint64_t lambdaAllocs_ = 0;
     std::uint64_t lambdaSpills_ = 0;
@@ -725,11 +457,7 @@ class EventQueue
     HostProfiler *profiler_ = nullptr;
     fault::FaultEngine *faultEngine_ = nullptr;
     fault::Watchdog *watchdog_ = nullptr;
-    /**
-     * Atomic: incremented on each shard's worker thread and
-     * group-summed by the watchdog from the border thread.
-     */
-    std::atomic<std::uint64_t> progressMarks_{0};
+    std::uint64_t progressMarks_ = 0;
     bool stopRequested_ = false;
 };
 

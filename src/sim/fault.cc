@@ -61,8 +61,6 @@ parseKind(const std::string &s, Kind &out)
     return false;
 }
 
-thread_local unsigned FaultEngine::tlsSuppress_ = 0;
-
 FaultEngine::FaultEngine(const FaultPlan &plan)
     : plan_(plan),
       fires_(plan.rules.size(), 0),
@@ -99,7 +97,7 @@ FaultEngine::FaultEngine(const FaultPlan &plan)
 Decision
 FaultEngine::decide(Point point, Tick now)
 {
-    if (!enabled_ || tlsSuppress_ != 0)
+    if (!enabled_ || suppress_ != 0)
         return Decision{};
     const auto p = static_cast<unsigned>(point);
     for (std::size_t idx : rulesByPoint_[p]) {
@@ -122,25 +120,21 @@ FaultEngine::decide(Point point, Tick now)
 
 void
 FaultEngine::holdDropped(const char *site, Tick now,
-                         std::function<void()> deliver,
-                         EventQueue *home)
+                         std::function<void()> deliver)
 {
-    std::lock_guard<std::mutex> lock(stateMutex_);
-    held_.push_back(Held{site, now, std::move(deliver), home});
+    held_.push_back(Held{site, now, std::move(deliver)});
     ++dropsHeld_;
 }
 
 std::size_t
 FaultEngine::heldCount() const
 {
-    std::lock_guard<std::mutex> lock(stateMutex_);
     return held_.size();
 }
 
 Tick
 FaultEngine::oldestHeldTick() const
 {
-    std::lock_guard<std::mutex> lock(stateMutex_);
     Tick oldest = tickNever;
     for (const Held &h : held_)
         oldest = std::min(oldest, h.heldAt);
@@ -150,33 +144,23 @@ FaultEngine::oldestHeldTick() const
 void
 FaultEngine::releaseDropped(EventQueue &eq)
 {
-    // Deliver outside the loop body via the queues so a released thunk
-    // that itself re-crosses a border cannot invalidate the iterator;
-    // the engine is expected to be disabled by the caller first. Each
-    // thunk runs on its holder's home shard (fallback: @p eq) so it
-    // never executes in a foreign domain.
+    // Deliver through the queue, not inline, so a released thunk that
+    // itself holds or re-crosses cannot invalidate the iteration; the
+    // engine is expected to be disabled by the caller first.
     std::vector<Held> pending;
-    {
-        std::lock_guard<std::mutex> lock(stateMutex_);
-        pending.swap(held_);
-        dropsHeld_ = 0;
-    }
+    pending.swap(held_);
+    dropsHeld_ = 0;
     for (Held &h : pending) {
-        {
-            std::lock_guard<std::mutex> lock(stateMutex_);
-            dropsReleased_ += 1;
-        }
-        EventQueue &q = h.home != nullptr ? *h.home : eq;
-        q.scheduleLambda(
+        dropsReleased_ += 1;
+        eq.scheduleLambda(
             [deliver = std::move(h.deliver)]() { deliver(); },
-            q.curTick());
+            eq.curTick());
     }
 }
 
 std::string
 FaultEngine::describeHeld() const
 {
-    std::lock_guard<std::mutex> lock(stateMutex_);
     std::ostringstream os;
     for (const Held &h : held_) {
         os << "  held: " << h.site << " since tick " << h.heldAt
@@ -188,7 +172,6 @@ FaultEngine::describeHeld() const
 void
 FaultEngine::notePoisonedPage(Addr ppn, Tick now)
 {
-    std::lock_guard<std::mutex> lock(stateMutex_);
     if (poisoned_.emplace(ppn, now).second)
         ++poisonedPages_;
 }
@@ -196,21 +179,15 @@ FaultEngine::notePoisonedPage(Addr ppn, Tick now)
 bool
 FaultEngine::poisoned(Addr ppn, Tick now) const
 {
-    std::lock_guard<std::mutex> lock(stateMutex_);
     if (poisoned_.empty())
         return false;
     const auto it = poisoned_.find(ppn);
-    // The lag makes the answer independent of thread interleaving: a
-    // note taken inside the current conservative window (strictly less
-    // than one lookahead ago) is never visible yet, and one taken in
-    // an earlier window is separated from this check by a barrier.
-    return it != poisoned_.end() && it->second + poisonLag_ <= now;
+    return it != poisoned_.end() && it->second <= now;
 }
 
 void
 FaultEngine::noteUnsafeWrite()
 {
-    std::lock_guard<std::mutex> lock(stateMutex_);
     ++unsafeWrites_;
 }
 
@@ -250,20 +227,10 @@ Watchdog::Watchdog(EventQueue &eq, FaultEngine *engine, Tick interval)
     panic_if(interval_ == 0, "watchdog interval must be nonzero");
 }
 
-std::uint64_t
-Watchdog::totalProgress() const
-{
-    // progressMarks() already sums over the queue group (serial
-    // facades and parallel shards alike; the per-queue counters are
-    // atomic), so the registered shard queues only gate the report
-    // format — adding their marks again would double count.
-    return eq_.progressMarks();
-}
-
 void
 Watchdog::arm()
 {
-    lastProgress_ = totalProgress();
+    lastProgress_ = eq_.progressMarks();
     if (!scheduled())
         eq_.schedule(this, eq_.curTick() + interval_);
 }
@@ -283,7 +250,7 @@ Watchdog::process()
     if (doneProbe_ && doneProbe_())
         return;
 
-    const std::uint64_t marks = totalProgress();
+    const std::uint64_t marks = eq_.progressMarks();
     const bool stalled = marks == lastProgress_;
     const std::uint64_t outstanding =
         outstandingProbe_ ? outstandingProbe_() : 0;
@@ -309,13 +276,8 @@ Watchdog::process()
        << "  progress marks: " << marks << " (unchanged: " << stalled
        << ")\n"
        << "  outstanding requests: " << outstanding << "\n";
-    if (progressSources_.empty()) {
-        // Serial loop: the queue counters are ours to read. In a
-        // sharded run they belong to other threads; the per-domain
-        // picture comes from the ParallelLoop hang-state reporter.
-        os << "  live events queued: " << eq_.size() << "\n"
-           << "  events processed: " << eq_.eventsProcessed() << "\n";
-    }
+    os << "  live events queued: " << eq_.size() << "\n"
+       << "  events processed: " << eq_.eventsProcessed() << "\n";
     if (engine_ != nullptr) {
         os << "  faults injected: " << engine_->totalInjected() << "\n"
            << "  dropped messages held: " << engine_->heldCount()

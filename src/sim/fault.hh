@@ -13,11 +13,7 @@
  * Determinism: the engine keeps one seeded bctrl::Random stream per
  * injection point, drawn in discrete-event order, so a (seed, plan,
  * config) triple replays the exact same fault sequence on any
- * platform. Because each point is consulted from exactly one event
- * domain (dramResponse from the DRAM shard, everything else from the
- * border shard), the per-point streams also make chaos runs
- * bit-identical between the serial and domain-sharded loops: no
- * stream ever interleaves draws from two threads.
+ * platform.
  *
  * The companion Watchdog detects simulated-time hangs (no forward
  * progress while requests are outstanding, or a dropped message held
@@ -31,7 +27,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -146,11 +141,8 @@ class FaultEngine
     /**
      * Suppress decisions for the current scope. Used when a site
      * re-enters itself to deliver a duplicate, so the copy cannot
-     * recursively fault into a duplication storm. The depth is
-     * thread-local: in the sharded loop a suppressor on the border
-     * thread must not (nondeterministically) mute decisions the DRAM
-     * shard takes in the same window — suppression scopes only ever
-     * cover the re-entrant call stack that opened them.
+     * recursively fault into a duplication storm. Scopes nest; they
+     * only ever cover the re-entrant call stack that opened them.
      */
     class Suppressor
     {
@@ -158,12 +150,12 @@ class FaultEngine
         explicit Suppressor(FaultEngine *engine) : engine_(engine)
         {
             if (engine_ != nullptr)
-                ++tlsSuppress_;
+                ++engine_->suppress_;
         }
         ~Suppressor()
         {
             if (engine_ != nullptr)
-                --tlsSuppress_;
+                --engine_->suppress_;
         }
         Suppressor(const Suppressor &) = delete;
         Suppressor &operator=(const Suppressor &) = delete;
@@ -174,22 +166,15 @@ class FaultEngine
 
     /** @name Held (dropped) messages */
     /// @{
-    /**
-     * Hold a dropped message for later re-delivery. @p home, when
-     * given, is the event queue of the domain the thunk must run on
-     * (the holding site's own shard); releaseDropped() schedules it
-     * there so released thunks never execute on a foreign shard.
-     */
+    /** Hold a dropped message for later re-delivery. */
     void holdDropped(const char *site, Tick now,
-                     std::function<void()> deliver,
-                     EventQueue *home = nullptr);
+                     std::function<void()> deliver);
     std::size_t heldCount() const;
     /** Hold tick of the oldest held message; tickNever when none. */
     Tick oldestHeldTick() const;
     /**
-     * Re-deliver every held message now; disable the engine first.
-     * Thunks with a home queue are scheduled there (at that queue's
-     * current tick); the rest fall back to @p eq.
+     * Re-deliver every held message on @p eq at its current tick, in
+     * hold order; disable the engine first.
      */
     void releaseDropped(EventQueue &eq);
     /** One "site@tick" line per held message (watchdog report). */
@@ -199,17 +184,8 @@ class FaultEngine
     /** @name Poisoned-translation ground truth */
     /// @{
     void notePoisonedPage(Addr ppn, Tick now);
-    /**
-     * Is @p ppn known-poisoned as of @p now? A poison note becomes
-     * visible one cross-domain latency after it was recorded (the
-     * visibility lag): the note is taken on the border shard and the
-     * audit runs on the DRAM shard, so the lag — at least the window
-     * lookahead — is what keeps the answer identical between the
-     * serial and sharded loops regardless of thread interleaving.
-     */
+    /** Is @p ppn known-poisoned as of @p now? */
     bool poisoned(Addr ppn, Tick now) const;
-    /** Cross-domain propagation delay for poison notes (default 0). */
-    void setPoisonVisibilityLag(Tick lag) { poisonLag_ = lag; }
     /** An accelerator write to a poisoned frame reached DRAM. */
     void noteUnsafeWrite();
     std::uint64_t unsafeWrites() const
@@ -237,13 +213,13 @@ class FaultEngine
   private:
     FaultPlan plan_;
     bool enabled_ = true;
-    static thread_local unsigned tlsSuppress_;
+    /** Open Suppressor scopes. */
+    unsigned suppress_ = 0;
 
     /**
      * One RNG stream per injection point (seeded from the plan seed
-     * and the point index). Each point is consulted from exactly one
-     * event domain, so per-point streams need no lock and draw in the
-     * same deterministic order under the serial and sharded loops.
+     * and the point index), so adding a rule at one point never
+     * shifts the draws of another.
      */
     std::array<Random, numPoints> rngs_;
 
@@ -255,24 +231,13 @@ class FaultEngine
         const char *site;
         Tick heldAt;
         std::function<void()> deliver;
-        EventQueue *home;
     };
     std::vector<Held> held_;
 
     /** PPN -> tick the poison was first recorded at. */
     std::unordered_map<Addr, Tick> poisoned_;
-    Tick poisonLag_ = 0;
     std::array<Addr, numPoints> stuckValue_{};
     std::array<bool, numPoints> stuckValid_{};
-
-    /**
-     * Guards the cross-domain mutable state (held_, poisoned_, and
-     * their stats): holds and poison notes originate on the border
-     * shard while the DRAM shard holds responses and audits writes.
-     * Per-point decision state (rngs_, fires_, stuck*) is deliberately
-     * not covered — it is partitioned by point, hence by domain.
-     */
-    mutable std::mutex stateMutex_;
 
     stats::StatGroup stats_;
     std::array<stats::Scalar *, numPoints> injectedByPoint_{};
@@ -320,19 +285,6 @@ class Watchdog : public Event
     {
         reporters_.push_back(std::move(reporter));
     }
-    /**
-     * Declare the extra shard queues of a parallel run (GPU and DRAM).
-     * Progress marks are group-summed by EventQueue::progressMarks()
-     * either way; registering the shards switches the hang report to
-     * the sharded format, where per-queue counters come from reporters
-     * sampling the coordinator's snapshot instead of being read raw
-     * across threads.
-     */
-    void addProgressSource(const EventQueue *eq)
-    {
-        progressSources_.push_back(eq);
-    }
-
     bool hangDetected() const { return hangDetected_; }
     Tick hangTick() const { return hangTick_; }
     const std::string &report() const { return report_; }
@@ -341,9 +293,6 @@ class Watchdog : public Event
     std::string name() const override { return "watchdog"; }
 
   private:
-    /** Progress marks over the whole queue group (atomic counters). */
-    std::uint64_t totalProgress() const;
-
     EventQueue &eq_;
     FaultEngine *engine_;
     Tick interval_;
@@ -354,7 +303,6 @@ class Watchdog : public Event
     std::function<std::uint64_t()> outstandingProbe_;
     std::function<bool()> doneProbe_;
     std::vector<std::function<std::string()>> reporters_;
-    std::vector<const EventQueue *> progressSources_;
 };
 
 /**

@@ -43,7 +43,6 @@ class HostProfiler
         borderControl, ///< Border Control check path
         ats,           ///< translation service / page walks
         dram,          ///< DRAM channel model
-        coordinator,   ///< parallel-loop window barriers (sync work)
         numSlots,
     };
 
@@ -55,7 +54,7 @@ class HostProfiler
     {
         static const char *const kNames[numSlots] = {
             "eventLoop", "gpu",  "cache", "coherence",
-            "borderControl", "ats", "dram", "coordinator",
+            "borderControl", "ats", "dram",
         };
         return kNames[static_cast<std::size_t>(slot)];
     }

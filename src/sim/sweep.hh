@@ -69,8 +69,9 @@ struct SweepOutcome {
     /**
      * Simulated-state-only stats dump (only with captureSimStats):
      * component counters and extra stats, no host-side blocks. This is
-     * the dump that must match byte for byte between a serial and a
-     * sharded run of the same point (System::dumpSimStats).
+     * the dump that must match byte for byte between any two runs of
+     * the same point, e.g. a serial and a parallel sweep
+     * (System::dumpSimStats).
      */
     std::string simStatsDump;
     /**
@@ -95,7 +96,7 @@ struct SweepOptions {
     /** Capture each run's System::dumpStatsJson() into the outcome. */
     bool captureStatsJson = false;
     /** Capture each run's System::dumpSimStats() into the outcome
-     * (the serial-vs-sharded bit-identity comparison surface). */
+     * (the bit-identity comparison surface). */
     bool captureSimStats = false;
 };
 

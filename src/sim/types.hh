@@ -11,7 +11,6 @@
 #ifndef BCTRL_SIM_TYPES_HH
 #define BCTRL_SIM_TYPES_HH
 
-#include <cstddef>
 #include <cstdint>
 
 namespace bctrl {
@@ -33,22 +32,6 @@ constexpr Tick ticksPerSecond = 1'000'000'000'000ULL;
 
 /** The maximum representable tick, used as "never". */
 constexpr Tick tickNever = ~Tick(0);
-
-/**
- * Component domains of the sharded parallel event loop (classic PDES
- * partitioning): the GPU cluster (CUs, wavefronts, accelerator caches
- * and TLBs), the border/host domain (Border Control, bus, coherence
- * point, ATS, kernel, CPU), and the DRAM channel model. A solo
- * (serial) EventQueue is tagged Domain::border.
- */
-enum class Domain : unsigned {
-    border = 0,
-    gpuCluster = 1,
-    dram = 2,
-};
-
-/** Number of shardable domains. */
-constexpr std::size_t numDomains = 3;
 
 /** Convert a frequency in Hz to a clock period in ticks. */
 constexpr Tick

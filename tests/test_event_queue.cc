@@ -225,8 +225,9 @@ namespace {
 /**
  * Reference model for the ladder property tests: the classic single
  * binary heap with squash-on-pop semantics that the ladder replaced.
- * Keys are (when, priority, sequence), sequences handed out in push
- * order, exactly like EventQueue.
+ * Keys are (when, priority, insertion sequence), one sequence counter
+ * for every schedule in push order: same-tick, same-priority events
+ * fire first-in first-out, exactly the EventQueue's documented order.
  */
 class RefModel
 {
@@ -392,6 +393,69 @@ TEST(EventQueueLadder, RandomInterleavingsMatchReferenceHeap)
     }
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.pendingEntries(), 0u);
+}
+
+/**
+ * Schedules made from inside firing events — the traffic shape of a
+ * real run, where components react to each other's events — follow
+ * the same reference order, including same-tick follow-ups of either
+ * priority that land in the active drain window mid-dispatch.
+ */
+TEST(EventQueueLadder, NestedSchedulesMatchReferenceFifo)
+{
+    struct Ctx {
+        EventQueue eq;
+        RefModel ref;
+        TestRng rng{0xfeedbeef};
+        std::vector<int> log;
+        int nextId = 0;
+        int budget = 20000;
+
+        /** Schedule 0-3 children, each of which spawns in turn. */
+        void
+        spawn()
+        {
+            // A spread of 1 draws delta 0: a same-tick follow-up.
+            const Tick spreads[] = {1, 4'096, 300'000, 3'000'000};
+            const int n = static_cast<int>(rng(4));
+            for (int i = 0; i < n && budget > 0; ++i, --budget) {
+                const Tick when = eq.curTick() + rng(spreads[rng(4)]);
+                const int priority = static_cast<int>(rng(3)) - 1;
+                const int id = nextId++;
+                eq.scheduleLambda(
+                    [this, id]() {
+                        log.push_back(id);
+                        spawn();
+                    },
+                    when, priority);
+                ref.schedule(id, when, priority);
+            }
+        }
+    };
+    Ctx ctx;
+    for (int i = 0; i < 64; ++i)
+        ctx.spawn();
+
+    std::size_t fired = 0;
+    for (;;) {
+        // Pop the reference first: the event about to fire schedules
+        // its children into both models while it runs.
+        Tick ref_when = 0;
+        const int ref_id = ctx.ref.pop(ref_when);
+        const bool ran = ctx.eq.step();
+        if (!ran) {
+            ASSERT_EQ(ref_id, -1) << "ladder drained early";
+            break;
+        }
+        ++fired;
+        ASSERT_EQ(ctx.log.size(), fired);
+        ASSERT_EQ(ctx.log.back(), ref_id) << "order diverged at event "
+                                          << fired;
+        ASSERT_EQ(ctx.eq.curTick(), ref_when);
+    }
+    EXPECT_EQ(fired, static_cast<std::size_t>(ctx.nextId));
+    EXPECT_GT(fired, 10000u);
+    EXPECT_TRUE(ctx.eq.empty());
 }
 
 /**

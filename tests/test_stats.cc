@@ -317,44 +317,15 @@ TEST(Stats, EventQueueInternalsExportedToJson)
     bctrl::System sys(tinyStatsConfig());
     sys.run("uniform");
     const std::string doc = fullStatsJson(sys);
-    // Every domain queue exports its ladder internals flat.
-    for (const char *q : {"border", "gpu", "dram"}) {
-        for (const char *stat :
-             {"stalePurged", "pendingEntries", "overflowSpills",
-              "mailboxOverflows"}) {
-            const std::string key = std::string("\"system.eventq.") +
-                                    q + "." + stat + "\":";
-            EXPECT_NE(doc.find(key), std::string::npos)
-                << "missing " << key;
-        }
-    }
-    // Host-side storage diagnostics stay out of the sim-only dump:
-    // where entries live differs legitimately between serial and
-    // sharded builds of the same run.
-    EXPECT_EQ(simStatsJson(sys).find("system.eventq"),
-              std::string::npos);
-}
-
-TEST(Stats, ParallelGroupExportedOnlyForShardedRuns)
-{
-    bctrl::SystemConfig cfg = tinyStatsConfig();
-    bctrl::System serial(cfg);
-    serial.run("uniform");
-    EXPECT_EQ(fullStatsJson(serial).find("system.parallel"),
-              std::string::npos);
-
-    cfg.parallelLoop = true;
-    bctrl::System sharded(cfg);
-    sharded.run("uniform");
-    const std::string doc = fullStatsJson(sharded);
+    // The one event queue exports its ladder internals flat.
     for (const char *stat :
-         {"grants", "windows", "eventsPerGrant", "lookaheadTicks",
-          "coordinatorSyncSeconds", "coordinatorStallSeconds"}) {
+         {"stalePurged", "pendingEntries", "overflowSpills"}) {
         const std::string key =
-            std::string("\"system.parallel.") + stat + "\":";
+            std::string("\"system.eventq.") + stat + "\":";
         EXPECT_NE(doc.find(key), std::string::npos) << "missing " << key;
     }
-    EXPECT_EQ(simStatsJson(sharded).find("system.parallel"),
+    // Host-side storage diagnostics stay out of the sim-only dump.
+    EXPECT_EQ(simStatsJson(sys).find("system.eventq"),
               std::string::npos);
 }
 

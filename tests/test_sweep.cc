@@ -95,6 +95,11 @@ TEST(Sweep, ParallelMatchesSerialBitForBit)
         EXPECT_EQ(s.result.bccMisses, p.result.bccMisses);
         EXPECT_EQ(s.result.violations, p.result.violations);
         EXPECT_EQ(s.result.pageFaults, p.result.pageFaults);
+        EXPECT_EQ(s.result.l1Hits, p.result.l1Hits);
+        EXPECT_EQ(s.result.l1Misses, p.result.l1Misses);
+        // Every point runs the accelerator's L1s, so the counters are
+        // live and the comparisons above are not 0 == 0.
+        EXPECT_GT(s.result.l1Hits + s.result.l1Misses, 0u);
         EXPECT_EQ(s.hostEvents, p.hostEvents);
         // The full per-component stats dump is the strongest identity
         // check: every counter in the system, byte for byte.

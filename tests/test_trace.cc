@@ -18,6 +18,7 @@
 #include <string>
 
 #include "config/system_builder.hh"
+#include "sim/fault.hh"
 #include "sim/trace.hh"
 
 using namespace bctrl;
@@ -469,6 +470,52 @@ TEST(TraceOverhead, EnablingTracingChangesNoSimulatedResult)
     EXPECT_EQ(r_on.bccMisses, r_off.bccMisses);
     EXPECT_EQ(r_on.violations, r_off.violations);
     EXPECT_EQ(r_on.dramBytes, r_off.dramBytes);
+    EXPECT_EQ(on.eventQueue().eventsProcessed(),
+              off.eventQueue().eventsProcessed());
+}
+
+/**
+ * Tracing and host profiling work in every configuration, chaos runs
+ * included, and stay purely observational there too: the simulated
+ * state of a run under an active FaultPlan is byte-identical with and
+ * without them.
+ */
+TEST(TraceOverhead, TracingUnderActiveFaultPlanChangesNoSimulatedState)
+{
+    const auto chaosConfig = [](std::uint32_t mask, bool host_profile) {
+        SystemConfig cfg = tracedConfig(mask, host_profile);
+        cfg.faultPlan.rules = {
+            fault::Rule{fault::Point::dramResponse, fault::Kind::delay,
+                        0.05, 30'000},
+            fault::Rule{fault::Point::gpuRequest, fault::Kind::duplicate,
+                        0.02},
+            fault::Rule{fault::Point::coherenceMsg,
+                        fault::Kind::duplicate, 0.02},
+        };
+        cfg.faultPlan.watchdogInterval = 50'000'000;
+        return cfg;
+    };
+    System off(chaosConfig(0, false));
+    System on(chaosConfig(trace::allFlags, /*host_profile=*/true));
+    ASSERT_NE(on.faultEngine(), nullptr);
+    ASSERT_NE(on.watchdog(), nullptr);
+    const RunResult r_off = off.run("uniform");
+    const RunResult r_on = on.run("uniform");
+
+    EXPECT_GT(r_on.faultsInjected, 0u);
+    EXPECT_FALSE(r_on.hung);
+    ASSERT_GT(on.tracer()->size(), 0u);
+    ASSERT_NE(on.hostProfiler(), nullptr);
+    EXPECT_EQ(on.hostProfiler()->calls(HostProfiler::Slot::eventLoop),
+              on.eventQueue().eventsProcessed());
+
+    std::ostringstream sim_off;
+    std::ostringstream sim_on;
+    off.dumpSimStats(sim_off);
+    on.dumpSimStats(sim_on);
+    EXPECT_EQ(sim_on.str(), sim_off.str());
+    EXPECT_EQ(r_on.runtimeTicks, r_off.runtimeTicks);
+    EXPECT_EQ(r_on.faultsInjected, r_off.faultsInjected);
     EXPECT_EQ(on.eventQueue().eventsProcessed(),
               off.eventQueue().eventsProcessed());
 }

@@ -24,19 +24,10 @@
  *                       factory; go through allocPacket()
  *   raw-console-io      no printf/std::cout/std::cerr in src/; route
  *                       through sim/logging.hh (or take an ostream)
- *   cross-domain-direct-call
- *                       no scheduling through another component's
- *                       eventQueue() accessor; same-domain reaches
- *                       carry an explicit allow (the inventory the
- *                       parallel-loop overlap work tracks)
  *   spec-state-leak     fill/insert mutations of shared lookup state
  *                       in the request-path components (gpu/, vm/,
  *                       bc/) must sit next to a spec token showing the
  *                       speculative path was considered
- *   suppression-budget  budgeted rules carry a pinned tree-wide
- *                       bclint:allow count (kAllowBudgets); growing
- *                       or shrinking the inventory without re-pinning
- *                       the budget is a finding
  *
  * Suppression: `// bclint:allow(rule-id[, rule-id...])` on the finding
  * line or the line above it; `// bclint:allow-file(rule-id)` anywhere
@@ -126,40 +117,11 @@ const RuleInfo kRules[] = {
      "no std::<random> engines (mt19937, minstd_rand, ...) in src/: "
      "all randomness flows through the explicitly seeded "
      "bctrl::Random so chaos and sweep runs replay exactly"},
-    {"cross-domain-direct-call",
-     "no schedule/scheduleLambda/reschedule through another "
-     "component's eventQueue() accessor: in the domain-sharded loop "
-     "a synchronous cross-domain schedule has zero lookahead and "
-     "pins the shards serial; schedule on your own queue (push() "
-     "mailbox-routes) and annotate genuine same-domain reaches"},
-    {"suppression-budget",
-     "rules listed in kAllowBudgets carry a pinned tree-wide "
-     "bclint:allow count; a new annotation (or a removal without "
-     "re-pinning) fails the lint run"},
     {"spec-state-leak",
      "a .fill()/.insert() mutation of shared lookup state in src/gpu, "
      "src/vm or src/bc with no spec/speculative token nearby: decide "
      "(and document) what a squashed wrong-path request may leave "
      "behind (vm/spec_policy.hh) before adding a fill site"},
-};
-
-/**
- * Pinned tree-wide bclint:allow inventories. The count is exact, not
- * a ceiling: removing an annotation without lowering the budget fails
- * too, so the inventory can only ratchet down deliberately.
- */
-struct AllowBudget {
-    const char *rule;
-    std::size_t allowed;
-};
-
-const AllowBudget kAllowBudgets[] = {
-    // The audited same-domain reaches that survived the async-border
-    // refactor: gpu/wavefront.cc x3 (wavefront -> its own CU's queue)
-    // and bc/attack.cc x1 (attack timer on the device's own queue).
-    // A new cross-domain schedule must go through the caller's queue,
-    // which mailbox-routes it with lookahead.
-    {"cross-domain-direct-call", 4},
 };
 
 bool
@@ -372,15 +334,6 @@ patternRules()
             "std::<random> engine in simulation code; draw from the "
             "seeded bctrl::Random (sim/random.hh) so every run is "
             "replayable from its seed");
-        // this->/self-> reaches are by definition the caller's own
-        // queue; any other object prefix is a cross-component reach.
-        add("cross-domain-direct-call",
-            R"((\)|\]|\b(?!this\b|self\b)[A-Za-z_]\w*)\s*(\.|->)\s*eventQueue\s*\(\s*\)\s*\.\s*(schedule|scheduleLambda|reschedule)\s*\()",
-            "scheduling through another component's eventQueue() "
-            "accessor; in shard mode this is a zero-lookahead "
-            "cross-domain coupling — schedule on your own queue (the "
-            "mailbox routes it) or annotate a same-domain reach with "
-            "bclint:allow");
         return r;
     }();
     return rules;
@@ -431,11 +384,6 @@ ruleAppliesToPath(const SourceFile &sf, const std::string &rule)
         return startsWith(sf.relPath, "src/") &&
                sf.relPath != "src/sim/random.hh" &&
                sf.relPath != "src/sim/random.cc";
-    }
-    if (rule == "cross-domain-direct-call") {
-        // Library code only: tests/benches/tools drive queues from the
-        // outside by design (no shard context to violate).
-        return startsWith(sf.relPath, "src/");
     }
     if (rule == "spec-state-leak") {
         // The request-path components a wrong-path crossing traverses;
@@ -836,47 +784,9 @@ checkSpecStateLeak(const SourceFile &sf, std::vector<Diagnostic> &out)
 // ---------------------------------------------------------------------
 // Driver.
 
-/**
- * Tally the file's bclint:allow annotations of budgeted rules into
- * @p tally (rule -> "file:line" sites). In self-test mode the tally is
- * skipped; instead, fixtures named suppression-budget__* report every
- * budgeted allow as a finding (suppressible like any other rule), so
- * the fixture suite proves the budget rule fires and suppresses.
- */
-void
-tallyBudgetedAllows(const SourceFile &sf,
-                    std::map<std::string, std::vector<std::string>> *tally,
-                    std::vector<Diagnostic> &out)
-{
-    const bool budgetFixture =
-        sf.selfTest && startsWith(sf.relPath, "suppression-budget__");
-    for (const AllowBudget &b : kAllowBudgets) {
-        if (!budgetFixture && !ruleAppliesToPath(sf, b.rule))
-            continue;
-        for (const auto &[ln, rules] : sf.lineAllows) {
-            if (!rules.count(b.rule))
-                continue;
-            if (budgetFixture)
-                report(sf, ln, "suppression-budget",
-                       std::string("bclint:allow(") + b.rule +
-                           ") counts against the pinned tree-wide "
-                           "inventory",
-                       out);
-            else if (tally != nullptr)
-                (*tally)[b.rule].push_back(sf.relPath + ":" +
-                                           std::to_string(ln));
-        }
-        if (sf.fileAllows.count(b.rule) && !budgetFixture &&
-            tally != nullptr)
-            (*tally)[b.rule].push_back(sf.relPath + ":allow-file");
-    }
-}
-
 bool
 scanFile(const fs::path &path, const std::string &relPath, bool selfTest,
-         std::vector<Diagnostic> &out, std::string *error,
-         std::map<std::string, std::vector<std::string>> *budgetTally =
-             nullptr)
+         std::vector<Diagnostic> &out, std::string *error)
 {
     std::ifstream in(path);
     if (!in) {
@@ -902,7 +812,6 @@ scanFile(const fs::path &path, const std::string &relPath, bool selfTest,
         }
     }
 
-    tallyBudgetedAllows(sf, budgetTally, out);
     runPatternRules(sf, out);
     checkIncludeGuard(sf, out);
     checkNamespace(sf, out);
@@ -1095,7 +1004,6 @@ main(int argc, char **argv)
     if (doSelfTest)
         return selfTest(selfTestDir);
 
-    const bool wholeTree = explicitFiles.empty();
     std::vector<fs::path> files = explicitFiles;
     if (files.empty()) {
         collectFiles(root, files);
@@ -1109,38 +1017,13 @@ main(int argc, char **argv)
     }
 
     std::vector<Diagnostic> diags;
-    std::map<std::string, std::vector<std::string>> budgetTally;
     for (const fs::path &file : files) {
         std::string rel = fs::path(file).lexically_proximate(root)
                               .generic_string();
         std::string error;
-        if (!scanFile(file, rel, false, diags, &error, &budgetTally)) {
+        if (!scanFile(file, rel, false, diags, &error)) {
             std::fprintf(stderr, "bclint: %s\n", error.c_str());
             return 2;
-        }
-    }
-
-    // The pinned allow inventories only make sense against the whole
-    // tree; a partial file list would always read as shrinkage.
-    if (wholeTree) {
-        for (const AllowBudget &b : kAllowBudgets) {
-            const std::vector<std::string> &sites = budgetTally[b.rule];
-            if (sites.size() == b.allowed)
-                continue;
-            std::string msg = "'" + std::string(b.rule) + "' has " +
-                              std::to_string(sites.size()) +
-                              " bclint:allow annotation(s) but the "
-                              "budget pins " +
-                              std::to_string(b.allowed) + " (";
-            for (std::size_t i = 0; i < sites.size(); ++i)
-                msg += (i != 0 ? ", " : "") + sites[i];
-            msg += sites.size() > b.allowed
-                       ? "): route the new schedule through the "
-                         "caller's own queue instead of annotating it"
-                       : "): an annotation was removed — lower the "
-                         "kAllowBudgets pin to match";
-            diags.push_back(Diagnostic{root.string(), 0,
-                                       "suppression-budget", msg});
         }
     }
 

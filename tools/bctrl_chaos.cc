@@ -35,7 +35,7 @@
  * Examples:
  *   bctrl_chaos                          # 16 seeds x 8 plans x 5 configs
  *   bctrl_chaos --seeds 4 --plans lossy,hang --safety bc-bcc,ats-only
- *   bctrl_chaos --plans spec-leaky,cap-policy --parallel-loop
+ *   bctrl_chaos --plans spec-leaky,cap-policy
  *   bctrl_chaos --workload hotspot --stats-json chaos_stats.json
  */
 
@@ -290,7 +290,6 @@ usage(const char *prog)
         "  --out FILE         JSON report (default: BENCH_chaos.json)\n"
         "  --stats-json FILE  full per-run stats dump (includes the\n"
         "                     RecoveryRecord stream per run)\n"
-        "  --parallel-loop    drive runs with the domain-sharded loop\n"
         "  --quiet            suppress the per-run table\n"
         "  --help             this text\n",
         prog);
@@ -315,7 +314,6 @@ main(int argc, char **argv)
     GpuProfile profile = GpuProfile::moderatelyThreaded;
     std::string out_path = "BENCH_chaos.json";
     std::string stats_json_path;
-    bool parallel_loop = false;
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -386,8 +384,6 @@ main(int argc, char **argv)
             out_path = next();
         } else if (arg == "--stats-json") {
             stats_json_path = next();
-        } else if (arg == "--parallel-loop") {
-            parallel_loop = true;
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -423,7 +419,6 @@ main(int argc, char **argv)
                 cfg.safety = safety;
                 cfg.profile = profile;
                 cfg.workloadScale = scale;
-                cfg.parallelLoop = parallel_loop;
                 plan->apply(cfg);
                 // Corrupt payloads model the untrusted accelerator-TLB
                 // link; the ATS-to-frontend path is trusted-to-trusted

@@ -102,11 +102,6 @@ usage(const char *prog)
         "uniform,stream,strided\n"
         "  --compare-serial   also run serially and report the "
         "speedup\n"
-        "  --parallel-loop    drive each run with the domain-sharded\n"
-        "                     parallel event loop; with "
-        "--compare-serial\n"
-        "                     the check pits it against the serial "
-        "loop\n"
         "  --out FILE         JSON report path (default: "
         "BENCH_sweep.json)\n"
         "  --trace FLAGS      enable tracing: comma-separated of BCC,\n"
@@ -226,8 +221,6 @@ main(int argc, char **argv)
             workloads = {"uniform", "stream", "strided"};
         } else if (arg == "--compare-serial") {
             compare_serial = true;
-        } else if (arg == "--parallel-loop") {
-            base.parallelLoop = true;
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--trace") {
@@ -295,18 +288,12 @@ main(int argc, char **argv)
     double serial_seconds = 0;
     double speedup = 0;
     if (compare_serial) {
-        // The oracle never uses the sharded loop: with --parallel-loop
-        // this comparison is the sharded-vs-serial bit-identity check.
-        SystemConfig serial_base = base;
-        serial_base.parallelLoop = false;
-        const std::vector<SweepPoint> serial_points =
-            matrixPoints(workloads, safeties, profiles, serial_base);
         SweepOptions serial_opts;
         serial_opts.jobs = 1;
         serial_opts.captureSimStats = true;
         const auto ser_start = now();
         const std::vector<SweepOutcome> serial_outcomes =
-            runSweep(serial_points, serial_opts);
+            runSweep(points, serial_opts);
         const std::chrono::duration<double> ser_elapsed =
             now() - ser_start;
         serial_seconds = ser_elapsed.count();
@@ -328,6 +315,7 @@ main(int argc, char **argv)
                 a.violations != b.violations ||
                 a.downgrades != b.downgrades ||
                 a.pageFaults != b.pageFaults ||
+                a.l1Hits != b.l1Hits || a.l1Misses != b.l1Misses ||
                 a.translations != b.translations ||
                 a.pageWalks != b.pageWalks ||
                 outcomes[i].hostEvents != serial_outcomes[i].hostEvents) {
@@ -398,10 +386,9 @@ main(int argc, char **argv)
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
         return 1;
     }
-    std::fprintf(f, "{\n  \"schema\": \"bctrl-sweep-v1\",\n");
+    std::fprintf(f, "{\n  \"schema\": \"bctrl-sweep-v2\",\n");
+    std::fprintf(f, "  \"host\": %s,\n", hostProvenanceJson().c_str());
     std::fprintf(f, "  \"jobs\": %u,\n", effective_jobs);
-    std::fprintf(f, "  \"parallel_loop\": %s,\n",
-                 base.parallelLoop ? "true" : "false");
     std::fprintf(f, "  \"runs\": [\n");
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         const SweepOutcome &o = outcomes[i];

@@ -24,32 +24,13 @@ cmake -S "$src" -B "$build" \
       -DBCTRL_WERROR=ON
 
 echo "== build =="
-cmake --build "$build" --target bctrl_sweep bctrl_chaos mailbox_stress \
-    -j "$jobs"
-
-echo "== SPSC mailbox stress under TSan (producer + consumer) =="
-"$build/tools/mailbox_stress"
+cmake --build "$build" --target bctrl_sweep -j "$jobs"
 
 echo "== parallel micro sweep under TSan (4 workers) =="
+# Every point builds its own System on a worker thread; nothing in the
+# simulator is locked, so this run is the proof that concurrent
+# Systems share no mutable state.
 "$build/tools/bctrl_sweep" --micro --jobs 4 --quiet \
     --out "$build/BENCH_sweep_tsan.json"
-
-echo "== domain-sharded event loop under TSan (3 shard threads) =="
-# Exercises the parallel-loop grant protocol (coordinator handoff,
-# SPSC mailboxes, shard worker threads) rather than the run-level
-# sweep parallelism above; --compare-serial re-runs serially and
-# fails on any divergence, so order bugs surface here too.
-"$build/tools/bctrl_sweep" --micro --workloads uniform \
-    --safety bc-bcc --parallel-loop --compare-serial \
-    --quiet --out "$build/BENCH_sweep_tsan_sharded.json"
-
-echo "== chaos under the sharded loop under TSan =="
-# Fault engine (per-point RNG streams, held-drop mutex, poison lag),
-# watchdog progress atomics, and the coordinator's hang snapshot all
-# cross shard threads; one lossy plan plus one speculation plan keeps
-# every one of those paths hot under TSan.
-"$build/tools/bctrl_chaos" --seeds 1 --plans lossy,spec-defer \
-    --safety bc-bcc --parallel-loop --quiet \
-    --out "$build/BENCH_chaos_tsan.json"
 
 echo "tsan sweep smoke: clean"
