@@ -1,5 +1,6 @@
 #include "config/system_builder.hh"
 
+#include "sim/contracts.hh"
 #include "sim/logging.hh"
 
 namespace bctrl {
@@ -59,13 +60,6 @@ System::System(const SystemConfig &config)
                       [this]() {
                           return static_cast<double>(
                               eventQueue_.lambdaAllocations());
-                      });
-    allocProf_.formula("callbackHeapSpills",
-                      "callbacks that overflowed their inline buffer",
-                      [this]() {
-                          return static_cast<double>(
-                              eventQueue_.lambdaSpills() +
-                              packetPool_.callbackSpills());
                       });
     allocProf_.formula("backingStoreMruHitRate",
                       "page lookups served by the last-page MRU slot",
@@ -299,28 +293,30 @@ System::System(const SystemConfig &config)
         });
     }
 
-    // Event-queue internals. All formulas read the live queue at dump
-    // time. These are host-side diagnostics — stale purges, pending
-    // storage, ladder overflow spills — and are excluded from the
-    // sim-only dump.
-    eventqStats_.formula("stalePurged",
-                         "canceled entries discarded by the ladder sweep",
-                         [this]() {
-                             return static_cast<double>(
-                                 eventQueue_.stalePurged());
-                         });
-    eventqStats_.formula("pendingEntries",
-                         "entries resident in the ladder storage",
-                         [this]() {
-                             return static_cast<double>(
-                                 eventQueue_.pendingEntries());
-                         });
+    // Event-queue internals, read from the live queue at dump time. A
+    // host-side diagnostic, excluded from the sim-only dump.
     eventqStats_.formula(
         "overflowSpills",
         "insertions beyond the ladder horizon (overflow heap)",
         [this]() {
             return static_cast<double>(eventQueue_.overflowSpills());
         });
+
+    simStatGroups_ = {
+        &dram_->statGroup(),      &cpuCore_->statGroup(),
+        &cpuL1_->statGroup(),     &cpuL2_->statGroup(),
+        &coherence_->statGroup(), &bus_->statGroup(),
+        &kernel_->statGroup(),    &ats_->statGroup(),
+    };
+    if (borderControl_)
+        simStatGroups_.push_back(&borderControl_->statGroup());
+    if (capiL2_)
+        simStatGroups_.push_back(&capiL2_->statGroup());
+    if (iommuFrontend_)
+        simStatGroups_.push_back(&iommuFrontend_->statGroup());
+    simStatGroups_.push_back(&gpu_->statGroup());
+    if (faultEngine_)
+        simStatGroups_.push_back(&faultEngine_->statGroup());
 }
 
 System::~System() = default;
@@ -344,10 +340,10 @@ System::startDowngradeInjector(Process &proc, const bool *finished)
     const Tick period =
         static_cast<Tick>(static_cast<double>(ticksPerSecond) / rate);
 
-    // Self-rescheduling injector; stops once the kernel completes. The
+    // Self-scheduling injector; stops once the kernel completes. The
     // stored function must not capture a strong reference to itself
     // (shared_ptr cycle → leak); each scheduled event holds the strong
-    // reference and the body re-locks a weak one to reschedule.
+    // reference and the body re-locks a weak one to schedule the next.
     auto injector = std::make_shared<std::function<void()>>();
     auto in_flight = std::make_shared<bool>(false);
     Process *procp = &proc;
@@ -406,8 +402,13 @@ System::run(Workload &workload, Process &proc)
         watchdog_->arm();
     }
     eventQueue_.run();
-    if (watchdog_)
+    // The watchdog only ever stops by not rescheduling itself: it
+    // stood down on the done probe (the queue drained) or stopped the
+    // loop on a hang. Either way nothing of it is left queued.
+    if (watchdog_) {
+        BCTRL_ASSERT(!watchdog_->scheduled());
         watchdog_->setDoneProbe(nullptr);
+    }
 
     bool hung = false;
     if (faultEngine_) {
@@ -418,8 +419,6 @@ System::run(Workload &workload, Process &proc)
         // and the packet pool drain (teardown contracts stay clean on
         // every chaos run, hung or not).
         faultEngine_->setEnabled(false);
-        if (watchdog_)
-            watchdog_->disarm();
         faultEngine_->releaseDropped(eventQueue_);
         eventQueue_.run();
     }
@@ -513,8 +512,6 @@ System::collect(const std::string &workload_name, Tick runtime,
     r.packetPoolAllocs = packetPool_.heapAllocations();
     r.packetPoolPeak = packetPool_.peakInFlight();
     r.lambdaPoolAllocs = eventQueue_.lambdaAllocations();
-    r.callbackHeapSpills =
-        eventQueue_.lambdaSpills() + packetPool_.callbackSpills();
     const std::uint64_t page_lookups = store_->pageLookups();
     r.backingStoreMruHitRate =
         page_lookups != 0 ? static_cast<double>(store_->mruHits()) /
@@ -526,24 +523,7 @@ System::collect(const std::string &workload_name, Tick runtime,
 void
 System::dumpSimStats(std::ostream &os) const
 {
-    dram_->statGroup().print(os);
-    cpuCore_->statGroup().print(os);
-    cpuL1_->statGroup().print(os);
-    cpuL2_->statGroup().print(os);
-    coherence_->statGroup().print(os);
-    bus_->statGroup().print(os);
-    kernel_->statGroup().print(os);
-    ats_->statGroup().print(os);
-    if (borderControl_)
-        borderControl_->statGroup().print(os);
-    if (capiL2_)
-        capiL2_->statGroup().print(os);
-    if (iommuFrontend_)
-        iommuFrontend_->statGroup().print(os);
-    gpu_->statGroup().print(os);
-    if (faultEngine_)
-        faultEngine_->statGroup().print(os);
-    for (const stats::StatGroup *group : extraStats_)
+    for (const stats::StatGroup *group : simStatGroups_)
         group->print(os);
 }
 
@@ -552,24 +532,7 @@ System::dumpSimStatsJson(std::ostream &os) const
 {
     bool first = true;
     os << "{";
-    dram_->statGroup().printJsonInto(os, first);
-    cpuCore_->statGroup().printJsonInto(os, first);
-    cpuL1_->statGroup().printJsonInto(os, first);
-    cpuL2_->statGroup().printJsonInto(os, first);
-    coherence_->statGroup().printJsonInto(os, first);
-    bus_->statGroup().printJsonInto(os, first);
-    kernel_->statGroup().printJsonInto(os, first);
-    ats_->statGroup().printJsonInto(os, first);
-    if (borderControl_)
-        borderControl_->statGroup().printJsonInto(os, first);
-    if (capiL2_)
-        capiL2_->statGroup().printJsonInto(os, first);
-    if (iommuFrontend_)
-        iommuFrontend_->statGroup().printJsonInto(os, first);
-    gpu_->statGroup().printJsonInto(os, first);
-    if (faultEngine_)
-        faultEngine_->statGroup().printJsonInto(os, first);
-    for (const stats::StatGroup *group : extraStats_)
+    for (const stats::StatGroup *group : simStatGroups_)
         group->printJsonInto(os, first);
     os << "}";
 }
@@ -605,24 +568,7 @@ System::dumpStatsJson(std::ostream &os) const
 {
     bool first = true;
     os << "{";
-    dram_->statGroup().printJsonInto(os, first);
-    cpuCore_->statGroup().printJsonInto(os, first);
-    cpuL1_->statGroup().printJsonInto(os, first);
-    cpuL2_->statGroup().printJsonInto(os, first);
-    coherence_->statGroup().printJsonInto(os, first);
-    bus_->statGroup().printJsonInto(os, first);
-    kernel_->statGroup().printJsonInto(os, first);
-    ats_->statGroup().printJsonInto(os, first);
-    if (borderControl_)
-        borderControl_->statGroup().printJsonInto(os, first);
-    if (capiL2_)
-        capiL2_->statGroup().printJsonInto(os, first);
-    if (iommuFrontend_)
-        iommuFrontend_->statGroup().printJsonInto(os, first);
-    gpu_->statGroup().printJsonInto(os, first);
-    if (faultEngine_)
-        faultEngine_->statGroup().printJsonInto(os, first);
-    for (const stats::StatGroup *group : extraStats_)
+    for (const stats::StatGroup *group : simStatGroups_)
         group->printJsonInto(os, first);
     eventqStats_.printJsonInto(os, first);
     allocProf_.printJsonInto(os, first);

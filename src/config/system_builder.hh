@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <ostream>
+#include <vector>
 
 #include "bc/border_control.hh"
 #include "cache/coherence_point.hh"
@@ -95,7 +96,7 @@ class System
      */
     void addStatGroup(const stats::StatGroup *group)
     {
-        extraStats_.push_back(group);
+        simStatGroups_.push_back(group);
     }
 
     /** Print every component's statistics. */
@@ -156,10 +157,14 @@ class System
     std::unique_ptr<fault::Watchdog> watchdog_;
     /** "system.allocprof" counters, printed last by dumpStats(). */
     stats::StatGroup allocProf_;
-    /** "system.eventq" ladder internals. */
+    /** "system.eventq" ladder internals (overflow spills). */
     stats::StatGroup eventqStats_;
-    /** Externally owned groups appended to the stat dumps. */
-    std::vector<const stats::StatGroup *> extraStats_;
+    /**
+     * The simulated-state stat groups in dump order: the components,
+     * then the groups added by addStatGroup(). Every stat dump walks
+     * this one list.
+     */
+    std::vector<const stats::StatGroup *> simStatGroups_;
     std::unique_ptr<BackingStore> store_;
     std::unique_ptr<Dram> dram_;
     /** Border -> DRAM hop; the coherence point's memory path. */

@@ -21,6 +21,36 @@ safetyModelName(SafetyModel model)
 }
 
 const char *
+safetyModelToken(SafetyModel model)
+{
+    switch (model) {
+      case SafetyModel::atsOnlyIommu:
+        return "ats-only";
+      case SafetyModel::fullIommu:
+        return "full-iommu";
+      case SafetyModel::capiLike:
+        return "capi";
+      case SafetyModel::borderControlNoBcc:
+        return "bc-nobcc";
+      case SafetyModel::borderControlBcc:
+        return "bc-bcc";
+    }
+    return "?";
+}
+
+bool
+parseSafetyModel(std::string_view token, SafetyModel &out)
+{
+    for (SafetyModel model : allSafetyModels) {
+        if (token == safetyModelToken(model)) {
+            out = model;
+            return true;
+        }
+    }
+    return false;
+}
+
+const char *
 gpuProfileName(GpuProfile profile)
 {
     switch (profile) {

@@ -8,6 +8,7 @@
 #define BCTRL_CONFIG_SYSTEM_CONFIG_HH
 
 #include <string>
+#include <string_view>
 
 #include "mem/addr.hh"
 #include "sim/fault.hh"
@@ -31,7 +32,22 @@ enum class GpuProfile {
     moderatelyThreaded, ///< 1 CU, few contexts (latency sensitive)
 };
 
+/** Every safety model, in declaration (and report) order. */
+inline constexpr SafetyModel allSafetyModels[] = {
+    SafetyModel::atsOnlyIommu,       SafetyModel::fullIommu,
+    SafetyModel::capiLike,           SafetyModel::borderControlNoBcc,
+    SafetyModel::borderControlBcc,
+};
+
+/** Display name, as the paper's tables print it. */
 const char *safetyModelName(SafetyModel model);
+/** Command-line and report token ("ats-only", ..., "bc-bcc"). */
+const char *safetyModelToken(SafetyModel model);
+/**
+ * Inverse of safetyModelToken().
+ * @return false (leaving @p out untouched) for an unknown token.
+ */
+bool parseSafetyModel(std::string_view token, SafetyModel &out);
 const char *gpuProfileName(GpuProfile profile);
 
 /** Qualitative properties used by the Table 1 / Table 2 benches. */
@@ -54,7 +70,6 @@ struct SystemConfig {
     /// @{
     std::uint64_t cpuFreqHz = 3'000'000'000ULL;
     std::uint64_t gpuFreqHz = 700'000'000ULL;
-    unsigned cpuCores = 1;
     Addr cpuL1Size = 64 * 1024;
     Addr cpuL2Size = 2 * 1024 * 1024;
     /// @}
@@ -255,8 +270,6 @@ struct RunResult {
     std::uint64_t packetPoolPeak = 0;
     /** LambdaEvents minted from the heap by the event queue. */
     std::uint64_t lambdaPoolAllocs = 0;
-    /** Callbacks that overflowed their inline buffer onto the heap. */
-    std::uint64_t callbackHeapSpills = 0;
     /** BackingStore page lookups answered by the last-page MRU slot. */
     double backingStoreMruHitRate = 0;
     /// @}

@@ -62,8 +62,6 @@ respondAt(EventQueue &eq, const PacketPtr &pkt, Tick when)
                              "second response delivered for packet %s",
                              pkt->toString().c_str());
             pkt->responded = true;
-            if (pkt->onResponse.spilled() && pkt->pool != nullptr)
-                pkt->pool->noteCallbackSpill();
             auto cb = std::move(pkt->onResponse);
             pkt->onResponse = nullptr;
             if (pkt->responseGateTick != 0) {

@@ -12,8 +12,7 @@
  * last PacketPtr drops; `Packet::make` is the pool-less heap fallback
  * used by unit tests and standalone harnesses. The response callback
  * is a fixed-capacity InlineFunction so delivering a response never
- * heap-allocates (oversized captures still work but are counted as
- * spills in the allocation profile).
+ * heap-allocates (an oversized capture does not compile).
  */
 
 #ifndef BCTRL_MEM_PACKET_HH
@@ -71,10 +70,8 @@ void releasePacket(Packet *pkt);
 /**
  * Inline capacity of Packet::onResponse. Sized for the measured
  * worst-case hot capture: the GPU issue path stores [self, done] where
- * `done` is a std::function completion token (8 + 32 bytes). Growing a
- * capture past this is functional but heap-spills, which the
- * allocation profile counts and the perf allocation-ceiling test
- * rejects.
+ * `done` is a std::function completion token (8 + 32 bytes). A larger
+ * capture does not compile (see InlineFunction).
  */
 constexpr std::size_t packetCallbackCapacity = 48;
 

@@ -48,10 +48,6 @@ class PacketPool
     /** Parked packets available for reuse. */
     std::size_t poolSize() const { return free_.size(); }
 
-    /** Count an onResponse callback that overflowed its inline buffer. */
-    void noteCallbackSpill() { ++callbackSpills_; }
-    std::uint64_t callbackSpills() const { return callbackSpills_; }
-
     /**
      * Keep at most this many parked packets; beyond it, released
      * packets are freed (same backstop as the LambdaEvent pool).
@@ -71,7 +67,6 @@ class PacketPool
     std::uint64_t heapAllocs_ = 0;
     std::uint64_t inFlight_ = 0;
     std::uint64_t peakInFlight_ = 0;
-    std::uint64_t callbackSpills_ = 0;
 };
 
 /**

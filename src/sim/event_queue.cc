@@ -58,8 +58,6 @@ EventQueue::~EventQueue()
 LambdaEvent *
 EventQueue::acquireLambda(LambdaFn fn, int priority)
 {
-    if (fn.spilled())
-        ++lambdaSpills_;
     if (lambdaPool_.empty()) {
         ++lambdaAllocs_;
         return new LambdaEvent(std::move(fn), priority);
@@ -85,30 +83,15 @@ EventQueue::recycleLambda(Event *ev)
 }
 
 void
-EventQueue::discardStale(const Entry &e)
-{
-    Event *ev = e.event;
-    ++stalePurged_;
-    // When this entry is the event's current (squashed) incarnation,
-    // clear the mark so the event can be scheduled again. Superseded
-    // entries (a reschedule minted a newer sequence) drop silently.
-    if (ev->squashed_ && ev->sequence_ == e.prioSeq) {
-        ev->squashed_ = false;
-        if (e.ownedLambda())
-            recycleLambda(ev);
-    }
-}
-
-void
 EventQueue::push(Event *ev, Tick when, bool owned_lambda)
 {
     panic_if(when < curTick_,
              "scheduling event '%s' in the past (%llu < %llu)",
              ev->name().c_str(), (unsigned long long)when,
              (unsigned long long)curTick_);
-    // No-double-schedule: every caller must have descheduled (or never
-    // scheduled) the event; a second live ladder entry for the same
-    // event would fire its callback twice.
+    // No-double-schedule: a scheduled event fires exactly once, and
+    // only then may it be scheduled again; a second ladder entry for
+    // the same event would fire its callback twice.
     BCTRL_ASSERT_MSG(!ev->scheduled_,
                      "event '%s' pushed while already scheduled",
                      ev->name().c_str());
@@ -118,18 +101,17 @@ EventQueue::push(Event *ev, Tick when, bool owned_lambda)
     BCTRL_ASSERT(ev->priority() >= -(1 << 15) &&
                  ev->priority() < (1 << 15));
     ev->scheduled_ = true;
-    ev->squashed_ = false;
     ev->when_ = when;
-    ev->sequence_ = packPrioSeq(ev->priority(), nextSequence_++,
-                                owned_lambda);
     ++liveEvents_;
-    insertEntry(Entry{when, ev->sequence_, ev});
+    insertEntry(Entry{when,
+                      packPrioSeq(ev->priority(), nextSequence_++,
+                                  owned_lambda),
+                      ev});
 }
 
 void
 EventQueue::insertEntry(const Entry &e)
 {
-    ++totalEntries_;
     if (e.when < activeEnd_) {
         // Inside (or before) the active window: merge into the sorted
         // pending tail of the drain array. The tail is a handful of
@@ -147,32 +129,6 @@ EventQueue::insertEntry(const Entry &e)
         ++overflowSpills_;
         overflow_.push(e);
     }
-}
-
-void
-EventQueue::loadBucket(std::vector<Entry> &bucket)
-{
-    // Swap storage so vector capacities circulate between the drain
-    // array and the buckets instead of reallocating every window.
-    drain_.clear();
-    drainPos_ = 0;
-    drain_.swap(bucket);
-    ladderCount_ -= drain_.size();
-    // Purge stale entries wholesale before sorting: squashed timers
-    // (watchdog re-arms, retried requests) die here instead of
-    // lingering in pending storage until their tick comes up.
-    std::size_t live = 0;
-    for (const Entry &e : drain_) {
-        Event *ev = e.event;
-        if (ev->scheduled_ && ev->sequence_ == e.prioSeq) {
-            drain_[live++] = e;
-        } else {
-            discardStale(e);
-            --totalEntries_;
-        }
-    }
-    drain_.resize(live);
-    std::sort(drain_.begin(), drain_.end(), EntryBefore{});
 }
 
 bool
@@ -208,40 +164,15 @@ EventQueue::advanceWindow()
         }
         std::vector<Entry> &bucket = buckets_[activeIdx_];
         if (!bucket.empty()) {
-            loadBucket(bucket);
-            if (drainPos_ < drain_.size())
-                return true;
-            // Every entry in the bucket was stale; keep advancing.
+            // Load the bucket as the sorted drain array. Swap storage
+            // so vector capacities circulate between the drain array
+            // and the buckets instead of reallocating every window.
+            drain_.swap(bucket);
+            ladderCount_ -= drain_.size();
+            std::sort(drain_.begin(), drain_.end(), EntryBefore{});
+            return true;
         }
     }
-}
-
-const EventQueue::Entry *
-EventQueue::peekHead()
-{
-    for (;;) {
-        if (drainPos_ < drain_.size()) {
-            const Entry &d = drain_[drainPos_];
-            Event *ev = d.event;
-            if (ev->scheduled_ && ev->sequence_ == d.prioSeq)
-                return &drain_[drainPos_];
-            discardStale(d);
-            ++drainPos_;
-            --totalEntries_;
-            continue;
-        }
-        if (!advanceWindow())
-            return nullptr;
-    }
-}
-
-void
-EventQueue::popHead()
-{
-    // peekHead() left the head at the drain cursor.
-    BCTRL_ASSERT(drainPos_ < drain_.size());
-    ++drainPos_;
-    --totalEntries_;
 }
 
 void
@@ -249,9 +180,10 @@ EventQueue::execute(const Entry &e)
 {
     Event *ev = e.event;
     panic_if(e.when < curTick_, "event time ran backwards");
-    // Monotonic-tick contract: the entry about to execute carries the
-    // event's current schedule, never a stale earlier one.
-    BCTRL_ASSERT_MSG(ev->when_ == e.when && ev->when_ >= curTick_,
+    // Fire-exactly-once contract: the entry about to execute is the
+    // event's one pending schedule.
+    BCTRL_ASSERT_MSG(ev->scheduled_ && ev->when_ == e.when &&
+                         ev->when_ >= curTick_,
                      "event '%s' fired at tick %llu but is "
                      "scheduled for %llu",
                      ev->name().c_str(), (unsigned long long)e.when,
@@ -278,13 +210,15 @@ EventQueue::execute(const Entry &e)
 bool
 EventQueue::serviceOne(Tick maxTick)
 {
-    const Entry *head = peekHead();
-    if (head == nullptr || head->when > maxTick)
+    // The head is the drain cursor, once a nonempty bucket is loaded.
+    if (drainPos_ >= drain_.size() && !advanceWindow())
         return false;
-    // Copy before popping: process() may grow drain_ and invalidate
-    // the pointer.
-    const Entry e = *head;
-    popHead();
+    // Copy: process() may grow drain_ and invalidate a reference into
+    // it.
+    const Entry e = drain_[drainPos_];
+    if (e.when > maxTick)
+        return false;
+    ++drainPos_;
     execute(e);
     return true;
 }
@@ -294,26 +228,6 @@ EventQueue::schedule(Event *ev, Tick when)
 {
     panic_if(ev->scheduled_, "event '%s' is already scheduled",
              ev->name().c_str());
-    push(ev, when, false);
-}
-
-void
-EventQueue::deschedule(Event *ev)
-{
-    panic_if(!ev->scheduled_, "descheduling unscheduled event '%s'",
-             ev->name().c_str());
-    // The ladder entry stays behind; mark the event squashed so the
-    // entry is purged when its bucket drains (or discarded at peek).
-    ev->scheduled_ = false;
-    ev->squashed_ = true;
-    --liveEvents_;
-}
-
-void
-EventQueue::reschedule(Event *ev, Tick when)
-{
-    if (ev->scheduled_)
-        deschedule(ev);
     push(ev, when, false);
 }
 
@@ -340,13 +254,10 @@ EventQueue::run(Tick maxTick)
         // comparisons against other storage tiers at all.
         while (!stopRequested_) {
             if (drainPos_ < drain_.size()) {
+                // Copy: process() may grow drain_ and invalidate a
+                // reference into it.
                 const Entry e = drain_[drainPos_++];
-                --totalEntries_;
-                Event *ev = e.event;
-                if (ev->scheduled_ && ev->sequence_ == e.prioSeq)
-                    execute(e);
-                else
-                    discardStale(e);
+                execute(e);
                 continue;
             }
             if (!advanceWindow())

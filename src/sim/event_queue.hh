@@ -47,8 +47,8 @@ class Watchdog;
  * Inline capacity of queue-owned lambda callbacks. Sized for the
  * measured worst-case hot capture: the GPU TLB-hit issue path stores a
  * proceed closure (this + cu + WorkItem + std::function done) plus a
- * TlbEntry, ~120 bytes. Larger captures still work but heap-spill,
- * which lambdaSpills() counts and the allocation profile surfaces.
+ * TlbEntry, ~120 bytes. A larger capture does not compile (see
+ * InlineFunction).
  */
 constexpr std::size_t lambdaCallbackCapacity = 160;
 
@@ -59,8 +59,9 @@ using LambdaFn = InlineFunction<void(), lambdaCallbackCapacity>;
  * Base class for all schedulable events.
  *
  * An Event is owned by whoever constructed it. The queue never deletes
- * events; descheduling is implemented by squashing so the ladder does
- * not need random removal.
+ * it, and a scheduled event fires exactly once: there is no
+ * cancellation, so a ladder entry is always its event's current
+ * schedule.
  */
 class Event
 {
@@ -111,11 +112,7 @@ class Event
 
     int priority_;
     bool scheduled_ = false;
-    bool squashed_ = false;
     Tick when_ = 0;
-    /** Packed order word of the current incarnation's ladder entry;
-     * see EventQueue::Entry. */
-    std::uint64_t sequence_ = 0;
 };
 
 /**
@@ -171,14 +168,11 @@ class EventQueue
     /** Current simulated time in ticks. */
     Tick curTick() const { return curTick_; }
 
-    /** Schedule @p ev to fire at absolute tick @p when (>= curTick). */
+    /**
+     * Schedule @p ev to fire exactly once at absolute tick @p when
+     * (>= curTick). @p ev must not already be scheduled.
+     */
     void schedule(Event *ev, Tick when);
-
-    /** Remove @p ev from the queue without executing it. */
-    void deschedule(Event *ev);
-
-    /** Move an already-scheduled event to a new tick. */
-    void reschedule(Event *ev, Tick when);
 
     /**
      * Schedule a one-shot callback owned by the queue.
@@ -192,7 +186,7 @@ class EventQueue
     /** @return true if no runnable events remain. */
     bool empty() const { return liveEvents_ == 0; }
 
-    /** Number of live (non-squashed) events. */
+    /** Number of scheduled events. */
     std::uint64_t size() const { return liveEvents_; }
 
     /**
@@ -219,26 +213,6 @@ class EventQueue
 
     /** LambdaEvents currently parked in the free-list pool. */
     std::size_t lambdaPoolSize() const { return lambdaPool_.size(); }
-
-    /**
-     * Lambda callbacks whose capture exceeded lambdaCallbackCapacity
-     * and spilled to the heap. Zero on the steady-state request path.
-     */
-    std::uint64_t lambdaSpills() const { return lambdaSpills_; }
-
-    /**
-     * Stale (squashed or superseded) entries discarded when their
-     * ladder bucket was drained, before ever reaching the head of the
-     * queue. Without bucket-time purging these would linger until
-     * popped, inflating pending-entry storage on long runs.
-     */
-    std::uint64_t stalePurged() const { return stalePurged_; }
-
-    /**
-     * Entries currently stored in the ladder, including stale ones not
-     * yet purged. Always >= size().
-     */
-    std::uint64_t pendingEntries() const { return totalEntries_; }
 
     /**
      * Entries that arrived beyond the ladder horizon and spilled to
@@ -307,8 +281,7 @@ class EventQueue
      *
      * Because the sequence is unique per entry, comparing the packed
      * word orders by (priority, sequence) and the low bit never
-     * decides. The event's sequence_ stores the same packed word, so
-     * the is-this-entry-current check is one compare.
+     * decides.
      */
     struct Entry {
         Tick when;
@@ -374,26 +347,10 @@ class EventQueue
     void insertEntry(const Entry &e);
 
     /**
-     * Load the active bucket into the sorted drain array, discarding
-     * stale (squashed / superseded) entries wholesale.
-     */
-    void loadBucket(std::vector<Entry> &bucket);
-
-    /**
      * Advance the active window until a nonempty bucket is loaded.
      * @return false if no entries remain anywhere in the queue.
      */
     bool advanceWindow();
-
-    /**
-     * Make the head entry (minimal live entry) available, discarding
-     * stale entries on the way.
-     * @return nullptr if the queue holds no live entries.
-     */
-    const Entry *peekHead();
-
-    /** Remove the current head (after peekHead() returned non-null). */
-    void popHead();
 
     /** Execute entry @p e (curTick update, profiler wrap, recycle). */
     void execute(const Entry &e);
@@ -409,13 +366,6 @@ class EventQueue
 
     /** Return a fired queue-owned lambda to the pool. */
     void recycleLambda(Event *ev);
-
-    /**
-     * Discard a stale entry: clear the squash mark (and count the
-     * purge) when this entry is the event's current incarnation;
-     * silently drop superseded ones.
-     */
-    void discardStale(const Entry &e);
 
     /** @name Ladder storage */
     /// @{
@@ -447,12 +397,9 @@ class EventQueue
     std::uint64_t nextSequence_ = 0;
     std::uint64_t liveEvents_ = 0;
     std::uint64_t processed_ = 0;
-    std::uint64_t totalEntries_ = 0;
-    std::uint64_t stalePurged_ = 0;
     std::uint64_t overflowSpills_ = 0;
     std::vector<LambdaEvent *> lambdaPool_;
     std::uint64_t lambdaAllocs_ = 0;
-    std::uint64_t lambdaSpills_ = 0;
     trace::Tracer *tracer_ = nullptr;
     HostProfiler *profiler_ = nullptr;
     fault::FaultEngine *faultEngine_ = nullptr;

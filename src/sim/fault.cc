@@ -236,17 +236,10 @@ Watchdog::arm()
 }
 
 void
-Watchdog::disarm()
-{
-    if (scheduled())
-        eq_.deschedule(this);
-}
-
-void
 Watchdog::process()
 {
-    // The workload completed: stand down (do not reschedule) so the
-    // queue can drain and System::run can return.
+    // The workload completed: stand down (schedule no further check)
+    // so the queue can drain and System::run can return.
     if (doneProbe_ && doneProbe_())
         return;
 

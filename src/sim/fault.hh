@@ -254,7 +254,9 @@ class FaultEngine
  * requests outstanding, or a dropped message held for a full interval,
  * is declared a hang: the watchdog records a packet-lifecycle report
  * and stops the event loop instead of letting the run spin or drain
- * into a silent half-finished state.
+ * into a silent half-finished state. Like every event it is never
+ * canceled: it stops by not rescheduling itself, once the done probe
+ * reports the run over or after it declares a hang.
  */
 class Watchdog : public Event
 {
@@ -263,8 +265,6 @@ class Watchdog : public Event
 
     /** Start checking; first check one interval from now. */
     void arm();
-    /** Stop checking (idempotent). */
-    void disarm();
 
     /** Probe for "requests still outstanding" (e.g. GPU mem ops). */
     void setOutstandingProbe(std::function<std::uint64_t()> probe)

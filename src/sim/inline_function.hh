@@ -6,18 +6,17 @@
  * `std::function` heap-allocates any capture larger than its small
  * libstdc++ SSO buffer (~16 bytes), which puts malloc/free on the
  * critical path of every simulated memory request (GPU issue lambdas
- * run ~112 bytes of capture). InlineFunction stores the callable
- * inside the wrapper itself whenever it fits in `Capacity` bytes; a
- * larger callable still works — it spills to a single heap allocation
- * — but the spill is observable via `spilled()` so the allocation
- * profile can count it and tests can assert the hot paths stay inline.
+ * run ~112 bytes of capture). InlineFunction always stores the
+ * callable inside the wrapper itself, in `Capacity` bytes; it never
+ * allocates.
  *
- * Capacity contract: pick Capacity from the *measured* worst-case hot
- * capture, not from hope. The capacities used by the simulator are
- * documented where the aliases are declared (EventQueue::LambdaFn and
- * Packet::onResponse); growing a capture past them is legal but shows
- * up as a nonzero `callbackHeapSpills` counter in the allocation
- * profile, which the perf-label allocation-ceiling test rejects.
+ * Capacity contract, checked at compile time: a callable that is
+ * larger than `Capacity`, more aligned than `std::max_align_t`, or
+ * not nothrow-move-constructible does not compile. The capacities used
+ * by the simulator are documented where the aliases are declared
+ * (EventQueue::LambdaFn and Packet::onResponse) and are picked from
+ * the *measured* worst-case hot capture; growing a capture past them
+ * is a build error, not a silent heap allocation.
  */
 
 #ifndef BCTRL_SIM_INLINE_FUNCTION_HH
@@ -36,9 +35,6 @@ class InlineFunction; // undefined; only the R(Args...) partial below
 template <typename R, typename... Args, std::size_t Capacity>
 class InlineFunction<R(Args...), Capacity>
 {
-    static_assert(Capacity >= sizeof(void *),
-                  "capacity must hold at least the heap-spill pointer");
-
   public:
     InlineFunction() noexcept = default;
     InlineFunction(std::nullptr_t) noexcept {}
@@ -90,9 +86,6 @@ class InlineFunction<R(Args...), Capacity>
 
     explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-    /** True iff the stored callable lives on the heap (capacity miss). */
-    bool spilled() const noexcept { return ops_ != nullptr && ops_->heap; }
-
     R
     operator()(Args... args)
     {
@@ -104,7 +97,6 @@ class InlineFunction<R(Args...), Capacity>
         R (*invoke)(void *, Args &&...);
         void (*relocate)(void *dst, void *src); // move-construct + destroy
         void (*destroy)(void *);
-        bool heap;
     };
 
     template <typename F>
@@ -125,43 +117,24 @@ class InlineFunction<R(Args...), Capacity>
     };
 
     template <typename F>
-    struct HeapOps {
-        static R
-        invoke(void *p, Args &&...args)
-        {
-            return (**static_cast<F **>(p))(std::forward<Args>(args)...);
-        }
-        static void
-        relocate(void *dst, void *src)
-        {
-            *static_cast<F **>(dst) = *static_cast<F **>(src);
-        }
-        static void destroy(void *p) { delete *static_cast<F **>(p); }
-    };
-
-    template <typename F>
     static constexpr Ops kInlineOps{&InlineOps<F>::invoke,
                                     &InlineOps<F>::relocate,
-                                    &InlineOps<F>::destroy, false};
-    template <typename F>
-    static constexpr Ops kHeapOps{&HeapOps<F>::invoke,
-                                  &HeapOps<F>::relocate,
-                                  &HeapOps<F>::destroy, true};
+                                    &InlineOps<F>::destroy};
 
     template <typename F>
     void
     construct(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= Capacity &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-            ops_ = &kInlineOps<Fn>;
-        } else {
-            *reinterpret_cast<Fn **>(buf_) = new Fn(std::forward<F>(f));
-            ops_ = &kHeapOps<Fn>;
-        }
+        static_assert(sizeof(Fn) <= Capacity,
+                      "InlineFunction: callable exceeds the inline "
+                      "capacity; shrink the capture or raise Capacity");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "InlineFunction: callable is over-aligned");
+        static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                      "InlineFunction: callable must be nothrow-move");
+        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
+        ops_ = &kInlineOps<Fn>;
     }
 
     void

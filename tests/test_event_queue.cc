@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -77,44 +76,6 @@ TEST(EventQueue, PriorityBreaksTiesBeforeInsertionOrder)
     eq.schedule(&high, 10);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{2, 1}));
-}
-
-TEST(EventQueue, DescheduleSquashesEvent)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    CountingEvent a(log, 1), b(log, 2);
-    eq.schedule(&a, 10);
-    eq.schedule(&b, 20);
-    eq.deschedule(&a);
-    EXPECT_FALSE(a.scheduled());
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{2}));
-}
-
-TEST(EventQueue, RescheduleMovesEvent)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    CountingEvent a(log, 1), b(log, 2);
-    eq.schedule(&a, 10);
-    eq.schedule(&b, 20);
-    eq.reschedule(&a, 30);
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{2, 1}));
-    EXPECT_EQ(eq.curTick(), 30u);
-}
-
-TEST(EventQueue, RescheduledEventRunsExactlyOnce)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    CountingEvent a(log, 1);
-    eq.schedule(&a, 10);
-    eq.reschedule(&a, 15);
-    eq.reschedule(&a, 25);
-    eq.run();
-    EXPECT_EQ(log.size(), 1u);
 }
 
 TEST(EventQueue, LambdaEventsFireAndAreOwnedByQueue)
@@ -224,10 +185,10 @@ namespace {
 
 /**
  * Reference model for the ladder property tests: the classic single
- * binary heap with squash-on-pop semantics that the ladder replaced.
- * Keys are (when, priority, insertion sequence), one sequence counter
- * for every schedule in push order: same-tick, same-priority events
- * fire first-in first-out, exactly the EventQueue's documented order.
+ * binary heap that the ladder replaced. Keys are (when, priority,
+ * insertion sequence), one sequence counter for every schedule in push
+ * order: same-tick, same-priority events fire first-in first-out,
+ * exactly the EventQueue's documented order.
  */
 class RefModel
 {
@@ -235,29 +196,19 @@ class RefModel
     void
     schedule(int id, Tick when, int priority)
     {
-        auto &st = state_[id];
-        st.scheduled = true;
-        st.seq = nextSeq_++;
-        heap_.push(Ref{when, priority, st.seq, id});
+        heap_.push(Ref{when, priority, nextSeq_++, id});
     }
 
-    void deschedule(int id) { state_[id].scheduled = false; }
-
-    /** Pop the next live entry; -1 when drained. */
+    /** Pop the next entry; -1 when drained. */
     int
     pop(Tick &when_out)
     {
-        while (!heap_.empty()) {
-            Ref r = heap_.top();
-            heap_.pop();
-            auto &st = state_[r.id];
-            if (!st.scheduled || st.seq != r.seq)
-                continue; // squashed or superseded
-            st.scheduled = false;
-            when_out = r.when;
-            return r.id;
-        }
-        return -1;
+        if (heap_.empty())
+            return -1;
+        const Ref r = heap_.top();
+        heap_.pop();
+        when_out = r.when;
+        return r.id;
     }
 
   private:
@@ -278,12 +229,7 @@ class RefModel
             return a.seq > b.seq;
         }
     };
-    struct State {
-        bool scheduled = false;
-        std::uint64_t seq = 0;
-    };
     std::priority_queue<Ref, std::vector<Ref>, After> heap_;
-    std::map<int, State> state_;
     std::uint64_t nextSeq_ = 0;
 };
 
@@ -311,11 +257,11 @@ class TestRng
 } // namespace
 
 /**
- * The core ladder property: under random schedule / deschedule /
- * reschedule interleavings whose deltas cover the active window, the
- * ladder buckets, and the far-future overflow heap, the ladder fires
- * events in exactly the reference heap's (tick, priority, sequence)
- * order. Runs in lockstep so a divergence pinpoints its op.
+ * The core ladder property: under random schedule / step interleavings
+ * whose deltas cover the active window, the ladder buckets, and the
+ * far-future overflow heap, the ladder fires events in exactly the
+ * reference heap's (tick, priority, sequence) order. Runs in lockstep
+ * so a divergence pinpoints its op.
  */
 TEST(EventQueueLadder, RandomInterleavingsMatchReferenceHeap)
 {
@@ -344,22 +290,10 @@ TEST(EventQueueLadder, RandomInterleavingsMatchReferenceHeap)
         const std::uint64_t kind = rng(10);
         const int id = static_cast<int>(rng(numEvents));
         Event *ev = events[id].get();
-        if (kind < 4) {
+        if (kind < 5) {
             if (!ev->scheduled()) {
                 const Tick when = eq.curTick() + randomDelta();
                 eq.schedule(ev, when);
-                ref.schedule(id, when, ev->priority());
-            }
-        } else if (kind < 6) {
-            if (ev->scheduled()) {
-                eq.deschedule(ev);
-                ref.deschedule(id);
-            }
-        } else if (kind < 7) {
-            if (ev->scheduled()) {
-                const Tick when = eq.curTick() + randomDelta();
-                eq.reschedule(ev, when);
-                ref.deschedule(id);
                 ref.schedule(id, when, ev->priority());
             }
         } else {
@@ -392,7 +326,6 @@ TEST(EventQueueLadder, RandomInterleavingsMatchReferenceHeap)
         ASSERT_EQ(eq.curTick(), ref_when);
     }
     EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.pendingEntries(), 0u);
 }
 
 /**
@@ -526,36 +459,6 @@ TEST(EventQueueLadder, FarFutureSpillRefillBoundary)
     EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
     EXPECT_EQ(eq.curTick(), 10 * span);
     EXPECT_TRUE(eq.empty());
-}
-
-/**
- * The satellite fix: squashed entries die when their bucket is
- * drained (counted by stalePurged) instead of lingering in pending
- * storage until their tick would have come up.
- */
-TEST(EventQueueLadder, SquashedEntriesArePurgedAtBucketDrain)
-{
-    EventQueue eq;
-    std::vector<int> log;
-
-    // A batch of future-bucket timers, all but one descheduled — the
-    // classic watchdog re-arm pattern.
-    constexpr int n = 16;
-    std::vector<std::unique_ptr<CountingEvent>> events;
-    for (int i = 0; i < n; ++i) {
-        events.push_back(std::make_unique<CountingEvent>(log, i));
-        eq.schedule(events[i].get(), 100'000 + i);
-    }
-    for (int i = 1; i < n; ++i)
-        eq.deschedule(events[i].get());
-
-    EXPECT_EQ(eq.size(), 1u);
-    EXPECT_EQ(eq.pendingEntries(), static_cast<std::uint64_t>(n));
-
-    eq.run();
-    EXPECT_EQ(log, std::vector<int>{0});
-    EXPECT_EQ(eq.stalePurged(), static_cast<std::uint64_t>(n - 1));
-    EXPECT_EQ(eq.pendingEntries(), 0u);
 }
 
 /**

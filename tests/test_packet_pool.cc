@@ -143,15 +143,6 @@ TEST(PacketPool, AllocPacketFallsBackWithoutPool)
     EXPECT_EQ(pkt->asid, 3u);
 }
 
-TEST(PacketPool, SpillCounterTracksOversizedCallbacks)
-{
-    PacketPool pool;
-    EXPECT_EQ(pool.callbackSpills(), 0u);
-    pool.noteCallbackSpill();
-    pool.noteCallbackSpill();
-    EXPECT_EQ(pool.callbackSpills(), 2u);
-}
-
 #ifdef BCTRL_TEST_ASAN
 TEST(PacketPool, ParkedSlotsArePoisonedUnderAsan)
 {

@@ -318,12 +318,8 @@ TEST(Stats, EventQueueInternalsExportedToJson)
     sys.run("uniform");
     const std::string doc = fullStatsJson(sys);
     // The one event queue exports its ladder internals flat.
-    for (const char *stat :
-         {"stalePurged", "pendingEntries", "overflowSpills"}) {
-        const std::string key =
-            std::string("\"system.eventq.") + stat + "\":";
-        EXPECT_NE(doc.find(key), std::string::npos) << "missing " << key;
-    }
+    EXPECT_NE(doc.find("\"system.eventq.overflowSpills\":"),
+              std::string::npos);
     // Host-side storage diagnostics stay out of the sim-only dump.
     EXPECT_EQ(simStatsJson(sys).find("system.eventq"),
               std::string::npos);

@@ -260,10 +260,9 @@ TEST(LambdaPool, PoolIsBoundedPastTheHighWaterMark)
 
 TEST(LambdaPool, SquashedLambdaEntriesAreRecycledNotLeaked)
 {
-    // Descheduling squashes heap entries; when the stale entry is
-    // popped the queue must still recycle the owned lambda. Covered
-    // indirectly: run a workload-sized burst where every lambda fires,
-    // then check pool accounting stays consistent.
+    // Every queue-owned lambda fires exactly once and then goes back
+    // to the pool: run workload-sized bursts and check the pool
+    // accounting stays consistent.
     EventQueue eq;
     std::uint64_t fired = 0;
     for (int round = 0; round < 4; ++round) {

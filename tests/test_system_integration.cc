@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -84,6 +85,27 @@ INSTANTIATE_TEST_SUITE_P(
                       SafetyModel::capiLike,
                       SafetyModel::borderControlNoBcc,
                       SafetyModel::borderControlBcc));
+
+TEST(SystemConfig, SafetyModelTokensRoundTrip)
+{
+    // The tokens every tool accepts on --safety and prints in its
+    // reports, in allSafetyModels order.
+    const char *const tokens[] = {"ats-only", "full-iommu", "capi",
+                                  "bc-nobcc", "bc-bcc"};
+    ASSERT_EQ(std::size(allSafetyModels), std::size(tokens));
+    for (std::size_t i = 0; i < std::size(tokens); ++i) {
+        const SafetyModel model = allSafetyModels[i];
+        EXPECT_STREQ(safetyModelToken(model), tokens[i]);
+        SafetyModel parsed = allSafetyModels[(i + 1) % std::size(tokens)];
+        ASSERT_TRUE(parseSafetyModel(safetyModelToken(model), parsed));
+        EXPECT_EQ(parsed, model);
+    }
+    SafetyModel untouched = SafetyModel::capiLike;
+    EXPECT_FALSE(parseSafetyModel("bc", untouched));
+    EXPECT_FALSE(parseSafetyModel("", untouched));
+    EXPECT_FALSE(parseSafetyModel("BC-BCC", untouched));
+    EXPECT_EQ(untouched, SafetyModel::capiLike);
+}
 
 TEST(SystemIntegration, ModeratelyThreadedProfileRuns)
 {

@@ -42,6 +42,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,28 +53,6 @@
 using namespace bctrl;
 
 namespace {
-
-struct NamedSafety {
-    const char *token;
-    SafetyModel model;
-};
-
-constexpr NamedSafety kSafeties[] = {
-    {"ats-only", SafetyModel::atsOnlyIommu},
-    {"full-iommu", SafetyModel::fullIommu},
-    {"capi", SafetyModel::capiLike},
-    {"bc-nobcc", SafetyModel::borderControlNoBcc},
-    {"bc-bcc", SafetyModel::borderControlBcc},
-};
-
-const char *
-safetyToken(SafetyModel m)
-{
-    for (const NamedSafety &s : kSafeties)
-        if (s.model == m)
-            return s.token;
-    return "?";
-}
 
 /** One chaos plan: how to arm the config for a run. */
 struct PlanSpec {
@@ -305,9 +284,8 @@ main(int argc, char **argv)
     std::vector<const PlanSpec *> plans;
     for (const PlanSpec &p : kPlans)
         plans.push_back(&p);
-    std::vector<SafetyModel> safeties;
-    for (const NamedSafety &s : kSafeties)
-        safeties.push_back(s.model);
+    std::vector<SafetyModel> safeties(std::begin(allSafetyModels),
+                                      std::end(allSafetyModels));
     unsigned seeds = 16;
     std::string workload = "bfs";
     std::uint64_t scale = 1;
@@ -352,14 +330,10 @@ main(int argc, char **argv)
         } else if (arg == "--safety") {
             safeties.clear();
             for (const std::string &tok : splitList(next())) {
-                bool found = false;
-                for (const NamedSafety &s : kSafeties) {
-                    if (tok == s.token) {
-                        safeties.push_back(s.model);
-                        found = true;
-                    }
-                }
-                if (!found) {
+                SafetyModel model;
+                if (parseSafetyModel(tok, model)) {
+                    safeties.push_back(model);
+                } else {
                     std::fprintf(stderr, "unknown safety model '%s'\n",
                                  tok.c_str());
                     return 2;
@@ -573,7 +547,7 @@ main(int argc, char **argv)
                         "retry %4llu/%3llu quar %3llu unsafe %llu "
                         "att %llu/%llu spec %llu/%llu leak %llu "
                         "cap %llu%s\n",
-                        rec.plan.c_str(), safetyToken(safety), s,
+                        rec.plan.c_str(), safetyModelToken(safety), s,
                         rec.result.hung ? "HUNG" : "completed",
                         (unsigned long long)rec.result.faultsInjected,
                         (unsigned long long)rec.result.dropsReleased,
@@ -621,7 +595,7 @@ main(int argc, char **argv)
             "\"specSquashed\": %llu, \"specDeferred\": %llu, "
             "\"specLeaks\": %llu, \"capViolations\": %llu, "
             "\"invariantViolations\": %zu}%s\n",
-            r.plan.c_str(), r.seedIndex, safetyToken(r.safety),
+            r.plan.c_str(), r.seedIndex, safetyModelToken(r.safety),
             r.result.hung ? "true" : "false",
             (unsigned long long)r.result.runtimeTicks,
             (unsigned long long)r.result.faultsInjected,
@@ -672,7 +646,7 @@ main(int argc, char **argv)
                 sf,
                 "    {\"plan\": \"%s\", \"seed\": %u, \"safety\": "
                 "\"%s\", \"stats\": %s, \"recoveries\": %s}%s\n",
-                r.plan.c_str(), r.seedIndex, safetyToken(r.safety),
+                r.plan.c_str(), r.seedIndex, safetyModelToken(r.safety),
                 r.statsJson.empty() ? "{}" : r.statsJson.c_str(),
                 r.recoveriesJson.empty() ? "[]"
                                          : r.recoveriesJson.c_str(),

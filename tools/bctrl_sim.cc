@@ -60,24 +60,6 @@ usage(const char *prog)
         prog);
 }
 
-bool
-parseSafety(const std::string &s, SafetyModel &out)
-{
-    if (s == "ats-only")
-        out = SafetyModel::atsOnlyIommu;
-    else if (s == "full-iommu")
-        out = SafetyModel::fullIommu;
-    else if (s == "capi")
-        out = SafetyModel::capiLike;
-    else if (s == "bc-nobcc")
-        out = SafetyModel::borderControlNoBcc;
-    else if (s == "bc-bcc")
-        out = SafetyModel::borderControlBcc;
-    else
-        return false;
-    return true;
-}
-
 } // namespace
 
 int
@@ -104,7 +86,7 @@ main(int argc, char **argv)
         if (arg == "--workload") {
             workload = next();
         } else if (arg == "--safety") {
-            if (!parseSafety(next(), cfg.safety)) {
+            if (!parseSafetyModel(next(), cfg.safety)) {
                 std::fprintf(stderr, "unknown safety model\n");
                 return 2;
             }

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -36,28 +37,6 @@ using namespace bctrl;
 using namespace bctrl::bench;
 
 namespace {
-
-struct NamedSafety {
-    const char *token;
-    SafetyModel model;
-};
-
-constexpr NamedSafety kSafeties[] = {
-    {"ats-only", SafetyModel::atsOnlyIommu},
-    {"full-iommu", SafetyModel::fullIommu},
-    {"capi", SafetyModel::capiLike},
-    {"bc-nobcc", SafetyModel::borderControlNoBcc},
-    {"bc-bcc", SafetyModel::borderControlBcc},
-};
-
-const char *
-safetyToken(SafetyModel m)
-{
-    for (const NamedSafety &s : kSafeties)
-        if (s.model == m)
-            return s.token;
-    return "?";
-}
 
 const char *
 profileToken(GpuProfile p)
@@ -144,9 +123,8 @@ main(int argc, char **argv)
 
     unsigned jobs = 0; // 0 = sweepJobs() (env or hardware)
     std::vector<std::string> workloads = rodiniaWorkloadNames();
-    std::vector<SafetyModel> safeties;
-    for (const NamedSafety &s : kSafeties)
-        safeties.push_back(s.model);
+    std::vector<SafetyModel> safeties(std::begin(allSafetyModels),
+                                      std::end(allSafetyModels));
     std::vector<GpuProfile> profiles = {GpuProfile::highlyThreaded,
                                         GpuProfile::moderatelyThreaded};
     SystemConfig base;
@@ -186,14 +164,10 @@ main(int argc, char **argv)
         } else if (arg == "--safety") {
             safeties.clear();
             for (const std::string &tok : splitList(next())) {
-                bool found = false;
-                for (const NamedSafety &s : kSafeties) {
-                    if (tok == s.token) {
-                        safeties.push_back(s.model);
-                        found = true;
-                    }
-                }
-                if (!found) {
+                SafetyModel model;
+                if (parseSafetyModel(tok, model)) {
+                    safeties.push_back(model);
+                } else {
                     std::fprintf(stderr, "unknown safety model '%s'\n",
                                  tok.c_str());
                     return 2;
@@ -362,7 +336,7 @@ main(int argc, char **argv)
             }
             std::printf("%-11s %-10s %-8s %14.0f %10s %10.3f %14.0f\n",
                         o.workload.c_str(),
-                        safetyToken(o.result.safety),
+                        safetyModelToken(o.result.safety),
                         profileToken(o.result.profile),
                         o.result.gpuCycles, overhead.c_str(),
                         o.hostSeconds, o.hostEventsPerSec);
@@ -409,7 +383,7 @@ main(int argc, char **argv)
             "\"runtimeTicks\": %llu, \"overheadVsBaseline\": %s, "
             "\"hostSeconds\": %s, \"hostEvents\": %llu, "
             "\"hostEventsPerSec\": %s}%s\n",
-            o.workload.c_str(), safetyToken(o.result.safety),
+            o.workload.c_str(), safetyModelToken(o.result.safety),
             profileToken(o.result.profile),
             formatDouble(o.result.gpuCycles).c_str(),
             (unsigned long long)o.result.runtimeTicks, overhead.c_str(),
@@ -446,7 +420,7 @@ main(int argc, char **argv)
                        "\"%s\", \"overhead\": %s}",
                     first_geomean ? "" : ",",
                     profileToken(profiles[p]),
-                    safetyToken(safeties[s]),
+                    safetyModelToken(safeties[s]),
                     formatDouble(geomeanOverhead(overheads)).c_str());
                 first_geomean = false;
             }
@@ -457,26 +431,23 @@ main(int argc, char **argv)
     // Aggregate allocation profile across the whole sweep: how
     // allocation-free the hot request path was (one System per run).
     {
-        std::uint64_t pool_allocs = 0, lambda_allocs = 0, spills = 0;
+        std::uint64_t pool_allocs = 0, lambda_allocs = 0;
         std::uint64_t max_peak = 0;
         double mru_sum = 0;
         for (const SweepOutcome &o : outcomes) {
             pool_allocs += o.result.packetPoolAllocs;
             max_peak = std::max(max_peak, o.result.packetPoolPeak);
             lambda_allocs += o.result.lambdaPoolAllocs;
-            spills += o.result.callbackHeapSpills;
             mru_sum += o.result.backingStoreMruHitRate;
         }
         std::fprintf(
             f,
             "  \"allocationProfile\": {\"packetPoolAllocs\": %llu, "
             "\"maxPacketPoolPeak\": %llu, \"lambdaPoolAllocs\": %llu, "
-            "\"callbackHeapSpills\": %llu, "
             "\"meanBackingStoreMruHitRate\": %s},\n",
             (unsigned long long)pool_allocs,
             (unsigned long long)max_peak,
             (unsigned long long)lambda_allocs,
-            (unsigned long long)spills,
             formatDouble(mru_sum /
                          static_cast<double>(outcomes.size()))
                 .c_str());
@@ -589,7 +560,7 @@ main(int argc, char **argv)
                 "    {\"workload\": \"%s\", \"safety\": \"%s\", "
                 "\"profile\": \"%s\", \"stats\": %s, "
                 "\"recoveries\": %s}%s\n",
-                o.workload.c_str(), safetyToken(o.result.safety),
+                o.workload.c_str(), safetyModelToken(o.result.safety),
                 profileToken(o.result.profile),
                 o.statsJson.empty() ? "{}" : o.statsJson.c_str(),
                 o.recoveriesJson.empty() ? "[]"
